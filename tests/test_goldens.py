@@ -1,0 +1,74 @@
+"""Golden reports: every CLI run below must reproduce its committed bytes.
+
+The inputs under ``tests/goldens`` are fixed data files:
+
+- ``nyse.csv.gz``: the bundled NYSE fixture as a return column,
+  ``series_from_distribution(nyse_fixture_distribution())``, one ``repr``
+  float per row (13,550 rows).
+- ``returns2k.csv.gz``: 2,000 draws of ``0.01 * N(0, 1)`` from
+  ``numpy.random.default_rng(2000)``, six decimals.
+- ``dated.csv``: weekday returns for 2015 from ``default_rng(21)``, with
+  four holidays that leave incomplete calendar weeks.
+
+A report that differs fails the test, which prints the command that
+regenerates the golden.  Regenerate only for an intended change of
+output, and say why where the change is recorded.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from ordinal_seasonality import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDENS = "tests/goldens"
+
+NYSE = f"{GOLDENS}/nyse.csv.gz"
+RETURNS = f"{GOLDENS}/returns2k.csv.gz"
+DATED = f"{GOLDENS}/dated.csv"
+
+# golden file -> CLI arguments; report paths are relative to the repository root
+CASES = {
+    "analyze-nyse.json": [
+        "analyze", "--input", NYSE, "--column", "ret", "--weeks", "block",
+        "--subperiods", "6775,6775", "--hurst",
+    ],
+    "analyze-calendar.json": [
+        "analyze", "--input", DATED, "--column", "ret", "--date-column", "date",
+        "--weeks", "calendar",
+    ],
+    "analyze-d6.json": ["analyze", "--input", RETURNS, "--column", "ret", "--d", "6"],
+    "simulate.json": [
+        "simulate", "--hurst", "0.3,0.7", "--length", "1000", "--reps", "6", "--seed", "11",
+    ],
+    "shuffle.json": [
+        "shuffle", "--input", RETURNS, "--column", "ret", "--reps", "8", "--seed", "5",
+    ],
+    "patterns-d4.csv": ["patterns", "--d", "4"],
+    "patterns-family.csv": ["patterns", "--d", "5", "--family", "monday-worst-friday-best"],
+}
+
+RUNS = [(name, []) for name in CASES] + [
+    (name, ["--jobs", jobs]) for name in ("simulate.json", "shuffle.json") for jobs in ("1", "2")
+]
+
+
+def regenerate_command(name: str) -> str:
+    return " ".join(
+        ["PYTHONPATH=src", "python", "-m", "ordinal_seasonality", *CASES[name], "--output", f"{GOLDENS}/{name}"]
+    )
+
+
+@pytest.mark.parametrize(("name", "extra"), RUNS, ids=[f"{n}{''.join(e)}" for n, e in RUNS])
+def test_report_matches_golden(name, extra, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / name
+    assert cli.main([*CASES[name], *extra, "--output", str(out)]) == 0
+    expected = (ROOT / GOLDENS / name).read_bytes()
+    assert out.read_bytes() == expected, (
+        f"{name} differs from its golden; if the change is intended, regenerate with\n"
+        f"  {regenerate_command(name)}"
+    )
