@@ -16,8 +16,7 @@ import math
 import os
 import sys
 import traceback
-import warnings
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +28,14 @@ from .errors import (
     RejectedRowError,
     SchemaError,
 )
-from .fgn import EnsembleConfig, FgnConfig, run_ensemble
+from .fgn import (
+    EnsembleConfig,
+    FgnConfig,
+    run_ensemble,
+    run_replications,
+    shuffle_replication,
+    tally_rejections,
+)
 from .hurst import HurstEstimate, HurstMethod, estimate_hurst
 from .ingest import (
     ReturnSeries,
@@ -40,13 +46,12 @@ from .ingest import (
     split_subperiods,
 )
 from .patterns import (
-    LowExpectedFrequencyWarning,
     PatternDistribution,
     PatternFamily,
-    all_patterns,
     count_patterns,
     count_windows,
     pattern_family,
+    pattern_strings,
 )
 from .stats import (
     TestOutcome,
@@ -266,8 +271,8 @@ def _analyze_section(part: ReturnSeries, args) -> dict:
             "fraction": dist.ties_observed / dist.windows if dist.windows else 0.0,
         },
         "pattern_counts": [
-            {"id": k + 1, "pattern": str(p), "count": int(dist.counts[k])}
-            for k, p in enumerate(all_patterns(dist.order))
+            {"id": k + 1, "pattern": p, "count": c}
+            for k, (p, c) in enumerate(zip(pattern_strings(dist.order), dist.counts.tolist()))
         ],
         "position_matrix": {
             "weeks": matrix.weeks,
@@ -384,41 +389,14 @@ def cmd_simulate(args) -> int:
 # shuffle
 # ---------------------------------------------------------------------------
 
-_SHUFFLE_STATE: dict = {}
 
-
-def _init_shuffle_worker(values: np.ndarray, order: int, master_seed: int) -> None:
-    _SHUFFLE_STATE["values"] = values
-    _SHUFFLE_STATE["order"] = order
-    _SHUFFLE_STATE["master_seed"] = master_seed
-
-
-def _shuffle_replication(index: int) -> tuple[int, tuple]:
-    values = _SHUFFLE_STATE["values"]
-    order = _SHUFFLE_STATE["order"]
-    seed = np.random.SeedSequence(entropy=_SHUFFLE_STATE["master_seed"], spawn_key=(index,))
-    rng = np.random.default_rng(seed)
-    shuffled = values[rng.permutation(values.size)]
-    dist = count_patterns(shuffled, order=order, stride=order, tie_warn_fraction=None)
-    matrix = position_matrix(dist)
-    h1 = test_h1_pattern_uniformity(dist)
-    h2 = test_h2_day_rows(matrix)
-    h3 = test_h3_position_columns(matrix)
-    ps = (
-        h1.p_value,
-        tuple(o.p_value for o in h2),
-        tuple(o.p_value for o in h3),
-        test_h4_monday_largest(dist).p_value if order >= 3 else None,
-        test_h5_monday_worst_friday_best(dist).p_value if order >= 3 else None,
-    )
-    return index, ps
-
-
-def _level_counts(p_values: Sequence[float]) -> dict:
+def _rate_dict(p_values: np.ndarray, rejections, alpha: float) -> dict | None:
+    """Aggregate of one test over the replications; None where the test does not apply."""
+    if np.isnan(p_values[0]):
+        return None
     return {
-        "at_10": sum(1 for p in p_values if p < 0.10),
-        "at_05": sum(1 for p in p_values if p < 0.05),
-        "at_01": sum(1 for p in p_values if p < 0.01),
+        "rejections": _rejections_dict(rejections),
+        "rate_at_alpha": int((p_values < alpha).sum()) / float(p_values.size),
     }
 
 
@@ -428,58 +406,40 @@ def cmd_shuffle(args) -> int:
     if len(series) < order:
         raise InvalidInputError("series shorter than one window")
 
-    indices = list(range(args.reps))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LowExpectedFrequencyWarning)
-        if args.jobs > 1 and args.reps > 1:
-            with ProcessPoolExecutor(
-                max_workers=min(args.jobs, args.reps),
-                initializer=_init_shuffle_worker,
-                initargs=(series.values, order, args.seed),
-            ) as pool:
-                results = list(pool.map(_shuffle_replication, indices, chunksize=8))
-            results.sort(key=lambda item: item[0])
-        else:
-            _init_shuffle_worker(series.values, order, args.seed)
-            results = [_shuffle_replication(i) for i in indices]
-
-    h1_ps = [ps[0] for _, ps in results]
-    h2_ps = [[ps[1][i] for _, ps in results] for i in range(order)]
-    h3_ps = [[ps[2][j] for _, ps in results] for j in range(order)]
-    h4_ps = [ps[3] for _, ps in results]
-    h5_ps = [ps[4] for _, ps in results]
+    replicate = partial(shuffle_replication, series.values, order, args.seed)
+    _, p_values = run_replications(replicate, args.reps, args.jobs)
+    rejections = tally_rejections(p_values)
+    h2 = slice(1, 1 + order)
+    h3 = slice(1 + order, 1 + 2 * order)
 
     alpha = args.alpha
     per_replication = [
         {
             "replication": index,
             "h1_p": ps[0],
-            "h1_reject": bool(ps[0] < alpha),
-            "h2_reject_days": [bool(p < alpha) for p in ps[1]],
-            "h3_reject_positions": [bool(p < alpha) for p in ps[2]],
-            "h4_p": ps[3],
-            "h4_reject": None if ps[3] is None else bool(ps[3] < alpha),
-            "h5_p": ps[4],
-            "h5_reject": None if ps[4] is None else bool(ps[4] < alpha),
+            "h1_reject": ps[0] < alpha,
+            "h2_reject_days": [p < alpha for p in ps[h2]],
+            "h3_reject_positions": [p < alpha for p in ps[h3]],
+            "h4_p": ps[-2],
+            "h4_reject": None if ps[-2] is None else ps[-2] < alpha,
+            "h5_p": ps[-1],
+            "h5_reject": None if ps[-1] is None else ps[-1] < alpha,
         }
-        for index, ps in results
+        for index, ps in enumerate(
+            [None if math.isnan(p) else p for p in row] for row in p_values.tolist()
+        )
     ]
 
-    reps = float(args.reps)
     doc = {
         "command": "shuffle",
         "input": _input_meta(args, series),
         "config": {"replications": args.reps, "seed": args.seed, "order": order, "alpha": alpha},
         "aggregate": {
-            "h1": {"rejections": _level_counts(h1_ps), "rate_at_alpha": sum(1 for p in h1_ps if p < alpha) / reps},
-            "h2_days": [{"rejections": _level_counts(h2_ps[i])} for i in range(order)],
-            "h3_positions": [{"rejections": _level_counts(h3_ps[j])} for j in range(order)],
-            "h4": None
-            if h4_ps[0] is None
-            else {"rejections": _level_counts(h4_ps), "rate_at_alpha": sum(1 for p in h4_ps if p < alpha) / reps},
-            "h5": None
-            if h5_ps[0] is None
-            else {"rejections": _level_counts(h5_ps), "rate_at_alpha": sum(1 for p in h5_ps if p < alpha) / reps},
+            "h1": _rate_dict(p_values[:, 0], rejections[0], alpha),
+            "h2_days": [{"rejections": _rejections_dict(r)} for r in rejections[h2]],
+            "h3_positions": [{"rejections": _rejections_dict(r)} for r in rejections[h3]],
+            "h4": _rate_dict(p_values[:, -2], rejections[-2], alpha),
+            "h5": _rate_dict(p_values[:, -1], rejections[-1], alpha),
         },
         "per_replication": per_replication,
     }
@@ -497,8 +457,8 @@ def cmd_patterns(args) -> int:
     if args.family:
         ids = pattern_family(PatternFamily(args.family), args.d)
     listing = [
-        {"id": k + 1, "pattern": str(p)}
-        for k, p in enumerate(all_patterns(args.d))
+        {"id": k + 1, "pattern": p}
+        for k, p in enumerate(pattern_strings(args.d))
         if ids is None or (k + 1) in ids
     ]
     if args.format == "json":

@@ -1,4 +1,4 @@
-"""Exact fractional Gaussian noise and the Monte-Carlo seasonality harness.
+"""Exact fractional Gaussian noise and the Monte-Carlo replication engine.
 
 Two exact samplers are provided: circulant embedding (Davies-Harte,
 O(n log n)) as the default, and the Hosking conditional recursion (O(n^2))
@@ -8,6 +8,12 @@ Both realize the fGn autocovariance
     gamma(k) = (sigma^2 / 2) * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H})
 
 exactly, so covariance properties are testable rather than approximate.
+
+One engine, :func:`run_replications`, repeats the five seasonality tests
+over seeded replications, serially or on a process pool.  It drives both
+the fGn experiment (:func:`run_ensemble`, the ``simulate`` command) and the
+shuffled-surrogate experiment (:func:`shuffle_replication`, the ``shuffle``
+command).
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -29,15 +36,18 @@ from .patterns import (
     PatternFamily,
     count_patterns,
     pattern_family,
+    position_counts,
 )
 from .stats import (
+    SIGNIFICANCE_LEVELS,
     TestOutcome,
-    _position_counts,
     binomial_test,
     chi2_sf,
     chi2_statistic,
     position_matrix,
     test_h1_pattern_uniformity,
+    test_h2_day_rows,
+    test_h3_position_columns,
     test_h4_monday_largest,
     test_h5_monday_worst_friday_best,
 )
@@ -73,10 +83,6 @@ class EnsembleConfig:
     base: FgnConfig
     replications: int
     master_seed: int
-
-    def __post_init__(self) -> None:
-        if self.replications < 1:
-            raise InvalidInputError("replications must be >= 1")
 
 
 def fgn_autocovariance(hurst: float, lags, sigma: float = 1.0) -> np.ndarray:
@@ -201,6 +207,67 @@ def replication_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)))
 
 
+# one replication's pattern counts, and its 2D+3 p-values in the order
+# H1, H2 per day, H3 per position, H4, H5 (NaN for H4/H5 below order 3)
+Replication = tuple[np.ndarray, np.ndarray]
+
+
+def _tested(dist: PatternDistribution) -> Replication:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LowExpectedFrequencyWarning)
+        matrix = position_matrix(dist)
+        outcomes = [
+            test_h1_pattern_uniformity(dist),
+            *test_h2_day_rows(matrix),
+            *test_h3_position_columns(matrix),
+        ]
+        if dist.order >= 3:
+            outcomes += [test_h4_monday_largest(dist), test_h5_monday_worst_friday_best(dist)]
+    p_values = [o.p_value for o in outcomes] + [math.nan] * (2 * dist.order + 3 - len(outcomes))
+    return dist.counts, np.array(p_values)
+
+
+def fgn_replication(
+    hurst: float, length: int, sigma: float, order: int, master_seed: int, index: int
+) -> Replication:
+    """Tests on the fGn sample of replication ``index``."""
+    rng = replication_rng(master_seed, index)
+    values, _ = _generate_values(length, hurst, sigma, rng, "auto")
+    return _tested(count_patterns(values, order=order, stride=order))
+
+
+def shuffle_replication(values: np.ndarray, order: int, master_seed: int, index: int) -> Replication:
+    """Tests on the uniformly shuffled copy of ``values`` of replication ``index``."""
+    rng = replication_rng(master_seed, index)
+    shuffled = values[rng.permutation(values.size)]
+    return _tested(count_patterns(shuffled, order=order, stride=order, tie_warn_fraction=None))
+
+
+def run_replications(
+    replicate: Callable[[int], Replication], reps: int, jobs: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``replicate(index)`` for every index in ``range(reps)``.
+
+    ``replicate`` must pickle for ``jobs > 1``: a module-level replication
+    function bound with :func:`functools.partial`.  Returns the (reps, D!)
+    pattern counts and the (reps, 2D+3) p-values, row ``r`` from
+    replication ``r``.  Each replication seeds itself from its index and
+    ``Executor.map`` yields results in input order, so the output does not
+    depend on ``jobs``.
+    """
+    if reps < 1:
+        raise InvalidInputError("replications must be >= 1")
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1 or reps == 1:
+        results = [replicate(index) for index in range(reps)]
+    else:
+        with ProcessPoolExecutor(max_workers=min(jobs, reps)) as pool:
+            results = list(pool.map(replicate, range(reps), chunksize=max(1, reps // (4 * jobs))))
+    counts, p_values = zip(*results)
+    return np.stack(counts), np.stack(p_values)
+
+
 @dataclass(frozen=True)
 class RejectionCounts:
     """Replications rejecting a null at the three significance levels."""
@@ -209,13 +276,11 @@ class RejectionCounts:
     at_05: int = 0
     at_01: int = 0
 
-    @staticmethod
-    def tally(outcomes) -> "RejectionCounts":
-        return RejectionCounts(
-            at_10=sum(1 for o in outcomes if o.reject_10),
-            at_05=sum(1 for o in outcomes if o.reject_05),
-            at_01=sum(1 for o in outcomes if o.reject_01),
-        )
+
+def tally_rejections(p_values: np.ndarray) -> list[RejectionCounts]:
+    """Rejection counts of each column of a (reps, k) p-value array."""
+    hits = (p_values[:, :, None] < np.array(SIGNIFICANCE_LEVELS)).sum(axis=0)
+    return [RejectionCounts(*column) for column in hits.tolist()]
 
 
 @dataclass(frozen=True)
@@ -257,19 +322,26 @@ class SimulationReport:
     h5: BinomialAggregate
 
 
-def _replication_counts(args) -> tuple[int, np.ndarray]:
-    master_seed, index, hurst, length, sigma, order = args
-    rng = replication_rng(master_seed, index)
-    values, _ = _generate_values(length, hurst, sigma, rng, "auto")
-    dist = count_patterns(values, order=order, stride=order)
-    return index, dist.counts
-
-
 def _averaged_chi_outcome(mean_cells: np.ndarray, df: int, payload: dict) -> TestOutcome:
     q = chi2_statistic(mean_cells)
     payload = dict(payload)
     payload["mean_expected_frequency"] = float(mean_cells.sum() / mean_cells.size)
     return TestOutcome.from_p(q, df, chi2_sf(q, df), payload)
+
+
+def _family_aggregate(
+    kind: PatternFamily, counts: np.ndarray, order: int, weeks: int, z_weeks: int, rejections: RejectionCounts
+) -> BinomialAggregate:
+    family = np.asarray(sorted(pattern_family(kind, order))) - 1
+    p_e = family.size / counts.shape[1]  # the family's share under uniformity
+    p_o = counts[:, family].sum(axis=1) / weeks
+    return BinomialAggregate(
+        averaged=binomial_test(p_e, float(p_o.mean()), z_weeks, {"kind": kind.value}),
+        rejections=rejections,
+        mean_observed_frequency=float(p_o.mean()),
+        expected_frequency=p_e,
+        replications_above_expected=int((p_o > p_e).sum()),
+    )
 
 
 def run_ensemble(cfg: EnsembleConfig, jobs: int = 1, z_weeks: int | None = None) -> SimulationReport:
@@ -289,94 +361,19 @@ def run_ensemble(cfg: EnsembleConfig, jobs: int = 1, z_weeks: int | None = None)
         raise InvalidInputError("length too short for a single week window")
     z_weeks = weeks if z_weeks is None else int(z_weeks)
 
-    args = [(cfg.master_seed, i, base.hurst, base.length, base.sigma, order) for i in range(reps)]
-    if jobs > 1 and reps > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, reps)) as pool:
-            indexed = list(pool.map(_replication_counts, args, chunksize=max(1, reps // (4 * jobs))))
-        indexed.sort(key=lambda item: item[0])
-        all_counts = [counts for _, counts in indexed]
-    else:
-        all_counts = [_replication_counts(a)[1] for a in args]
+    replicate = partial(fgn_replication, base.hurst, base.length, base.sigma, order, cfg.master_seed)
+    counts, p_values = run_replications(replicate, reps, jobs)
+    rejections = tally_rejections(p_values)
 
-    family_h4 = np.asarray(sorted(pattern_family(PatternFamily.MONDAY_LARGEST, order))) - 1
-    family_h5 = np.asarray(sorted(pattern_family(PatternFamily.MONDAY_WORST_FRIDAY_BEST, order))) - 1
-    p_e_h4 = 1.0 / order
-    p_e_h5 = 1.0 / (order * (order - 1))
-
-    h1_outcomes: list[TestOutcome] = []
-    h2_outcomes: list[list[TestOutcome]] = [[] for _ in range(order)]
-    h3_outcomes: list[list[TestOutcome]] = [[] for _ in range(order)]
-    h4_outcomes: list[TestOutcome] = []
-    h5_outcomes: list[TestOutcome] = []
-    p_o_h4 = np.empty(reps)
-    p_o_h5 = np.empty(reps)
-    counts_sum = np.zeros(math.factorial(order), dtype=np.int64)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LowExpectedFrequencyWarning)
-        for r, counts in enumerate(all_counts):
-            counts_sum += counts
-            dist = PatternDistribution(order=order, counts=counts, windows=weeks)
-            h1_outcomes.append(test_h1_pattern_uniformity(dist))
-            matrix = position_matrix(dist)
-            for i in range(order):
-                a_row = matrix.a[i, :]
-                q = chi2_statistic(a_row)
-                h2_outcomes[i].append(TestOutcome.from_p(q, order - 1, chi2_sf(q, order - 1), {}))
-            for j in range(order):
-                a_col = matrix.a[:, j]
-                q = chi2_statistic(a_col)
-                h3_outcomes[j].append(TestOutcome.from_p(q, order - 1, chi2_sf(q, order - 1), {}))
-            h4_outcomes.append(test_h4_monday_largest(dist))
-            h5_outcomes.append(test_h5_monday_worst_friday_best(dist))
-            p_o_h4[r] = counts[family_h4].sum() / weeks
-            p_o_h5[r] = counts[family_h5].sum() / weeks
-
-    mean_counts = counts_sum / reps
+    mean_counts = counts.sum(axis=0) / reps
     if mean_counts.sum() / mean_counts.size < 5.0:
         warnings.warn(
             "mean expected pattern frequency below 5; chi-squared p-values are approximate",
             LowExpectedFrequencyWarning,
             stacklevel=2,
         )
-
-    h1 = ChiAggregate(
-        averaged=_averaged_chi_outcome(mean_counts, mean_counts.size - 1, {"kind": "pattern-uniformity"}),
-        rejections=RejectionCounts.tally(h1_outcomes),
-    )
-    mean_matrix = _position_counts(mean_counts, order)
-    h2 = tuple(
-        ChiAggregate(
-            averaged=_averaged_chi_outcome(mean_matrix[i, :], order - 1, {"kind": "day-row", "day": i}),
-            rejections=RejectionCounts.tally(h2_outcomes[i]),
-        )
-        for i in range(order)
-    )
-    h3 = tuple(
-        ChiAggregate(
-            averaged=_averaged_chi_outcome(
-                mean_matrix[:, j], order - 1, {"kind": "position-column", "position": j}
-            ),
-            rejections=RejectionCounts.tally(h3_outcomes[j]),
-        )
-        for j in range(order)
-    )
-    h4 = BinomialAggregate(
-        averaged=binomial_test(p_e_h4, float(p_o_h4.mean()), z_weeks, {"kind": "monday-largest"}),
-        rejections=RejectionCounts.tally(h4_outcomes),
-        mean_observed_frequency=float(p_o_h4.mean()),
-        expected_frequency=p_e_h4,
-        replications_above_expected=int((p_o_h4 > p_e_h4).sum()),
-    )
-    h5 = BinomialAggregate(
-        averaged=binomial_test(
-            p_e_h5, float(p_o_h5.mean()), z_weeks, {"kind": "monday-worst-friday-best"}
-        ),
-        rejections=RejectionCounts.tally(h5_outcomes),
-        mean_observed_frequency=float(p_o_h5.mean()),
-        expected_frequency=p_e_h5,
-        replications_above_expected=int((p_o_h5 > p_e_h5).sum()),
-    )
+    mean_matrix = position_counts(mean_counts, order)
+    df = order - 1
 
     return SimulationReport(
         hurst=base.hurst,
@@ -388,9 +385,28 @@ def run_ensemble(cfg: EnsembleConfig, jobs: int = 1, z_weeks: int | None = None)
         weeks_per_replication=weeks,
         generator=generator_method(base.length, base.hurst),
         z_weeks=z_weeks,
-        h1=h1,
-        h2=h2,
-        h3=h3,
-        h4=h4,
-        h5=h5,
+        h1=ChiAggregate(
+            averaged=_averaged_chi_outcome(mean_counts, mean_counts.size - 1, {"kind": "pattern-uniformity"}),
+            rejections=rejections[0],
+        ),
+        h2=tuple(
+            ChiAggregate(
+                averaged=_averaged_chi_outcome(mean_matrix[i, :], df, {"kind": "day-row", "day": i}),
+                rejections=rejections[1 + i],
+            )
+            for i in range(order)
+        ),
+        h3=tuple(
+            ChiAggregate(
+                averaged=_averaged_chi_outcome(
+                    mean_matrix[:, j], df, {"kind": "position-column", "position": j}
+                ),
+                rejections=rejections[1 + order + j],
+            )
+            for j in range(order)
+        ),
+        h4=_family_aggregate(PatternFamily.MONDAY_LARGEST, counts, order, weeks, z_weeks, rejections[-2]),
+        h5=_family_aggregate(
+            PatternFamily.MONDAY_WORST_FRIDAY_BEST, counts, order, weeks, z_weeks, rejections[-1]
+        ),
     )

@@ -18,13 +18,18 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .ingest import ReturnSeries
-from .patterns import OrdinalPattern, PatternDistribution, rank_pattern
+from .patterns import (
+    OrdinalPattern,
+    PatternDistribution,
+    pattern_table,
+    position_counts,
+    rank_pattern,
+)
 
 # pattern digit-string -> absolute frequency, whole period (2,440 blocks)
 NYSE_PATTERN_COUNTS = {
@@ -115,7 +120,7 @@ def decompose_position_matrix(
     if not (row_sums == residual.sum(axis=0)).all() or np.ptp(row_sums) != 0:
         raise InvalidInputError("matrix must have equal row and column sums")
 
-    perms = list(permutations(range(order)))
+    table = pattern_table(order)
     cols = np.arange(order)
     counts = np.zeros(math.factorial(order), dtype=np.int64)
     remaining = (
@@ -127,31 +132,16 @@ def decompose_position_matrix(
         remaining[pattern_id - 1] = 0
 
     while residual.any():
-        best_bottleneck = 0
-        best_index = -1
-        for i, perm in enumerate(perms):
-            if remaining[i] <= 0:
-                continue
-            bottleneck = int(residual[list(perm), cols].min())
-            if bottleneck > best_bottleneck:
-                best_bottleneck = bottleneck
-                best_index = i
-        if best_index < 0:
+        bottlenecks = residual[table, cols].min(axis=1)
+        bottlenecks[remaining <= 0] = 0
+        best = int(np.argmax(bottlenecks))  # the first pattern with the largest bottleneck
+        if bottlenecks[best] <= 0:
             raise InvalidInputError("constraints admit no further pattern assignment")
-        weight = min(best_bottleneck, int(remaining[best_index]))
-        counts[best_index] += weight
-        residual[list(perms[best_index]), cols] -= weight
-        remaining[best_index] -= weight
+        weight = min(int(bottlenecks[best]), int(remaining[best]))
+        counts[best] += weight
+        residual[table[best], cols] -= weight
+        remaining[best] -= weight
     return counts
-
-
-def _position_accumulation(counts: np.ndarray, order: int) -> np.ndarray:
-    a = np.zeros((order, order), dtype=np.int64)
-    for k, perm in enumerate(permutations(range(order))):
-        if counts[k]:
-            for j, i in enumerate(perm):
-                a[i, j] += counts[k]
-    return a
 
 
 @lru_cache(maxsize=1)
@@ -163,7 +153,7 @@ def nyse_fixture_distribution() -> PatternDistribution:
     recorded minimum (7 at 42013) stays unique.
     """
     base = _pattern_counts_array(5, NYSE_PATTERN_COUNTS)
-    residual = NYSE_POSITION_MATRIX - _position_accumulation(base, 5)
+    residual = NYSE_POSITION_MATRIX - position_counts(base, 5).astype(np.int64)
     if (residual < 0).any():  # pragma: no cover - embedded data is fixed
         raise InvalidInputError("bundled histogram exceeds the bundled matrix")
     protected = [
@@ -202,18 +192,10 @@ def series_from_distribution(dist: PatternDistribution, spread: float = 0.02) ->
     window the day at rank r receives the r-th of D evenly spaced levels
     in [-spread, spread].
     """
-    order = dist.order
-    levels = np.linspace(-spread, spread, order)
-    blocks = []
-    for k, perm in enumerate(permutations(range(order))):
-        count = int(dist.counts[k])
-        if count == 0:
-            continue
-        window = np.empty(order)
-        for rank_pos, day in enumerate(perm):
-            window[day] = levels[rank_pos]
-        blocks.append(np.tile(window, count))
-    if not blocks:
+    if dist.windows == 0:
         raise InvalidInputError("distribution has no windows")
-    values = np.concatenate(blocks)
+    levels = np.linspace(-spread, spread, dist.order)
+    # the day at rank r of pattern k is table[k, r], so day i gets the level of its rank
+    windows = levels[np.argsort(pattern_table(dist.order), axis=1)]
+    values = np.repeat(windows, dist.counts, axis=0).ravel()
     return ReturnSeries(values=values, label=dist.label or "synthetic")

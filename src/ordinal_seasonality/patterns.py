@@ -6,6 +6,11 @@ D=5, a week in which Monday is the lowest return, then Friday, Tuesday,
 Thursday, and Wednesday the highest encodes as (0, 4, 1, 3, 2).  Pattern
 ids are the 1-based lexicographic rank of the digit string, so 01234 is
 pattern 1 and 43210 is pattern D!.
+
+Every per-pattern computation reads one cached table per order: the digits
+of all D! patterns in id order (:func:`pattern_table`).  Pattern strings,
+families, ranks and the day-by-position accumulation
+(:func:`position_counts`) are array operations on it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
+from functools import lru_cache
+from itertools import chain, permutations
 from typing import Iterator
 
 import numpy as np
@@ -39,10 +45,6 @@ class TieRateWarning(UserWarning):
 
 class LowExpectedFrequencyWarning(UserWarning):
     """Chi-squared asymptotics are shaky below ~5 expected counts per cell."""
-
-
-def _factorial(n: int) -> int:
-    return math.factorial(n)
 
 
 @dataclass(frozen=True)
@@ -118,36 +120,70 @@ def window_has_ties(window) -> bool:
 
 def rank_pattern(pattern: OrdinalPattern) -> int:
     """1-based lexicographic rank of the pattern's digit string."""
-    digits = pattern.digits
-    d = len(digits)
-    code = 0
-    for j in range(d - 1):
-        smaller_after = sum(1 for x in digits[j + 1 :] if x < digits[j])
-        code += smaller_after * _factorial(d - 1 - j)
-    return code + 1
+    return int(_ranks_for_digit_rows(np.array([pattern.digits]))[0])
 
 
 def unrank_pattern(pattern_id: int, order: int) -> OrdinalPattern:
     """Inverse of :func:`rank_pattern` for the given order."""
     order = _validate_order(order)
     pattern_id = int(pattern_id)
-    if not 1 <= pattern_id <= _factorial(order):
+    if not 1 <= pattern_id <= math.factorial(order):
         raise InvalidInputError(f"pattern id {pattern_id} out of range 1..{order}!")
     rem = pattern_id - 1
     available = list(range(order))
     digits = []
     for j in range(order):
-        f = _factorial(order - 1 - j)
+        f = math.factorial(order - 1 - j)
         q, rem = divmod(rem, f)
         digits.append(available.pop(q))
     return OrdinalPattern(tuple(digits))
 
 
-def all_patterns(order: int) -> Iterator[OrdinalPattern]:
-    """All D! patterns in id order (itertools emits permutations lexicographically)."""
+@lru_cache(maxsize=None)
+def pattern_table(order: int) -> np.ndarray:
+    """Digits of all D! patterns in id order: a read-only int8 array of shape (D!, D).
+
+    Row ``k`` holds pattern id ``k + 1`` (itertools emits permutations
+    lexicographically).  Built once per order and shared by every caller.
+    """
     order = _validate_order(order)
-    for perm in permutations(range(order)):
-        yield OrdinalPattern(perm)
+    digits = chain.from_iterable(permutations(range(order)))
+    table = np.fromiter(digits, dtype=np.int8, count=math.factorial(order) * order)
+    table = table.reshape(-1, order)
+    table.flags.writeable = False
+    return table
+
+
+def all_patterns(order: int) -> Iterator[OrdinalPattern]:
+    """All D! patterns in id order."""
+    for digits in pattern_table(order).tolist():
+        yield OrdinalPattern(tuple(digits))
+
+
+def pattern_strings(order: int) -> list[str]:
+    """Digit strings of all D! patterns in id order, as ``str(OrdinalPattern)`` prints them."""
+    table = pattern_table(order)
+    # one ASCII digit per cell (D <= 10), each row viewed as one byte string
+    chars = (table + ord("0")).astype(np.uint8)
+    return chars.view(f"S{table.shape[1]}").ravel().astype(str).tolist()
+
+
+def position_counts(counts, order: int) -> np.ndarray:
+    """Day-by-position accumulation of per-pattern counts, a float (D, D) array.
+
+    Cell ``(i, j)`` sums the counts of the patterns whose j-th digit is day
+    ``i``.  Works on integer and mean (float) counts alike.  Only nonzero
+    counts take part and each cell adds them in id order, so the sums equal
+    a loop over the patterns bit for bit.
+    """
+    counts = np.asarray(counts, dtype=float)
+    table = pattern_table(order)
+    present = np.flatnonzero(counts)
+    cells = table[present].astype(np.intp) * order + np.arange(order)
+    sums = np.bincount(
+        cells.ravel(), weights=np.repeat(counts[present], order), minlength=order * order
+    )
+    return sums.reshape(order, order)
 
 
 def _ranks_for_digit_rows(digit_rows: np.ndarray) -> np.ndarray:
@@ -156,7 +192,7 @@ def _ranks_for_digit_rows(digit_rows: np.ndarray) -> np.ndarray:
     code = np.zeros(n, dtype=np.int64)
     for j in range(d - 1):
         smaller_after = (digit_rows[:, j + 1 :] < digit_rows[:, j : j + 1]).sum(axis=1)
-        code += smaller_after.astype(np.int64) * _factorial(d - 1 - j)
+        code += smaller_after.astype(np.int64) * math.factorial(d - 1 - j)
     return code + 1
 
 
@@ -177,17 +213,14 @@ def pattern_family(kind: PatternFamily, order: int = 5) -> frozenset[int]:
     order = _validate_order(order)
     if order < 3:
         raise InvalidInputError("pattern families need order >= 3")
-    ids = []
-    for i, perm in enumerate(permutations(range(order)), start=1):
-        if kind is PatternFamily.MONDAY_LARGEST:
-            if perm[-1] == 0:
-                ids.append(i)
-        elif kind is PatternFamily.MONDAY_WORST_FRIDAY_BEST:
-            if perm[0] == 0 and perm[-1] == order - 1:
-                ids.append(i)
-        else:  # pragma: no cover - enum is closed
-            raise InvalidInputError(f"unknown family {kind!r}")
-    return frozenset(ids)
+    table = pattern_table(order)
+    if kind is PatternFamily.MONDAY_LARGEST:
+        members = table[:, -1] == 0
+    elif kind is PatternFamily.MONDAY_WORST_FRIDAY_BEST:
+        members = (table[:, 0] == 0) & (table[:, -1] == order - 1)
+    else:  # pragma: no cover - enum is closed
+        raise InvalidInputError(f"unknown family {kind!r}")
+    return frozenset((np.flatnonzero(members) + 1).tolist())
 
 
 @dataclass
@@ -207,9 +240,9 @@ class PatternDistribution:
     def __post_init__(self) -> None:
         self.order = _validate_order(self.order)
         counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.shape != (_factorial(self.order),):
+        if counts.shape != (math.factorial(self.order),):
             raise InvalidInputError(
-                f"counts must have length {self.order}! = {_factorial(self.order)}"
+                f"counts must have length {self.order}! = {math.factorial(self.order)}"
             )
         if (counts < 0).any():
             raise InvalidInputError("counts must be non-negative")
@@ -253,7 +286,7 @@ def count_windows(
 
     digit_rows = _digits_for_rows(rows, tie_rule)
     ids = _ranks_for_digit_rows(digit_rows)
-    counts = np.bincount(ids - 1, minlength=_factorial(order)).astype(np.int64)
+    counts = np.bincount(ids - 1, minlength=math.factorial(order)).astype(np.int64)
 
     sorted_rows = np.sort(rows, axis=1)
     ties = int((np.diff(sorted_rows, axis=1) == 0).any(axis=1).sum())

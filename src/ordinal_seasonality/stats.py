@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 from scipy.special import gammaincc
@@ -22,6 +21,7 @@ from .patterns import (
     PatternDistribution,
     PatternFamily,
     pattern_family,
+    position_counts,
 )
 
 SIGNIFICANCE_LEVELS = (0.10, 0.05, 0.01)
@@ -110,22 +110,9 @@ class PositionMatrix:
         return self.a.shape[0]
 
 
-def _position_counts(counts: np.ndarray, order: int) -> np.ndarray:
-    """Accumulate day-by-position counts from per-pattern counts (float-safe)."""
-    counts = np.asarray(counts, dtype=float)
-    a = np.zeros((order, order), dtype=float)
-    for k, perm in enumerate(permutations(range(order))):
-        c = counts[k]
-        if c:
-            for j, i in enumerate(perm):
-                a[i, j] += c
-    return a
-
-
 def position_matrix(dist: PatternDistribution) -> PositionMatrix:
     """Day-by-position frequency matrix of a pattern distribution."""
-    a = _position_counts(dist.counts, dist.order)
-    return PositionMatrix(a=a.astype(np.int64), weeks=dist.windows)
+    return PositionMatrix(a=position_counts(dist.counts, dist.order), weeks=dist.windows)
 
 
 def chi2_statistic(observed) -> float:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from itertools import permutations
 
+import numpy as np
+
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 50) -> float:
     """Classic recursive adaptive Simpson integration of f over [a, b]."""
@@ -98,3 +100,15 @@ def family_ids_by_enumeration(order: int, predicate) -> set[int]:
         for i, perm in enumerate(sorted(permutations(range(order))))
         if predicate(perm)
     }
+
+
+def position_counts_by_loop(counts, order: int) -> np.ndarray:
+    """Day-by-position accumulation, one pattern and one day at a time."""
+    counts = np.asarray(counts, dtype=float)
+    a = np.zeros((order, order), dtype=float)
+    for k, perm in enumerate(permutations(range(order))):
+        c = counts[k]
+        if c:
+            for j, i in enumerate(perm):
+                a[i, j] += c
+    return a

@@ -1,20 +1,28 @@
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ordinal_seasonality
 import ordinal_seasonality.cli as cli
 from ordinal_seasonality.fixtures import nyse_fixture_distribution, series_from_distribution
 
+# the child imports the package this test imported, installed or not
+PACKAGE_ROOT = str(Path(ordinal_seasonality.__file__).resolve().parent.parent)
+
 
 def run_cli(*args, **kwargs):
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "ordinal_seasonality", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
         **kwargs,
     )
 
@@ -222,6 +230,25 @@ def test_shuffle_reports_aggregate_and_rows(returns_csv):
 def test_shuffle_requires_seed(returns_csv):
     out = run_cli("shuffle", "--input", str(returns_csv), "--column", "ret", "--reps", "4")
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize(
+    ("flags", "message"),
+    [
+        (["--reps", "0"], "replications must be >= 1"),
+        (["--reps", "4", "--jobs", "0"], "jobs must be >= 1"),
+        (["--reps", "4", "--jobs", "-3"], "jobs must be >= 1"),
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "shuffle"])
+def test_replication_engine_rejects_bad_counts(command, flags, message, returns_csv, capsys):
+    if command == "simulate":
+        argv = ["simulate", "--hurst", "0.5", "--length", "1000", "--seed", "1", *flags]
+    else:
+        argv = ["shuffle", "--input", str(returns_csv), "--column", "ret", "--seed", "1", *flags]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

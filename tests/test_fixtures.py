@@ -17,6 +17,7 @@ from ordinal_seasonality.stats import (
 )
 from ordinal_seasonality.stats import test_h2_day_rows as h2_test
 from ordinal_seasonality.stats import test_h3_position_columns as h3_test
+from oracles import position_counts_by_loop
 
 ROW_Q = (22.78967, 17.94834, 9.92989, 12.66052, 16.74908)
 ROW_STARS = ("***", "***", "**", "**", "***")
@@ -104,8 +105,6 @@ def test_whole_period_q_from_series():
 def test_decompose_plain_matrix():
     rng = np.random.default_rng(4)
     counts = rng.integers(0, 30, size=120)
-    from ordinal_seasonality.stats import _position_counts
-
-    matrix = _position_counts(counts, 5).astype(np.int64)
+    matrix = position_counts_by_loop(counts, 5).astype(np.int64)
     rebuilt = decompose_position_matrix(matrix)
-    assert np.array_equal(_position_counts(rebuilt, 5).astype(np.int64), matrix)
+    assert np.array_equal(position_counts_by_loop(rebuilt, 5).astype(np.int64), matrix)

@@ -11,16 +11,20 @@ from ordinal_seasonality.patterns import (
     OrdinalPattern,
     PatternFamily,
     TieRule,
+    _ranks_for_digit_rows,
     all_patterns,
     count_patterns,
     count_windows,
     encode_window,
     pattern_family,
+    pattern_strings,
+    pattern_table,
+    position_counts,
     rank_pattern,
     unrank_pattern,
     window_has_ties,
 )
-from oracles import family_ids_by_enumeration, lexicographic_rank
+from oracles import family_ids_by_enumeration, lexicographic_rank, position_counts_by_loop
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +127,41 @@ def test_rank_matches_enumeration_oracle():
 def test_all_patterns_in_id_order():
     for k, pattern in enumerate(all_patterns(4), start=1):
         assert rank_pattern(pattern) == k
+
+
+# ---------------------------------------------------------------------------
+# pattern table
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", range(2, 8))
+def test_table_rows_are_sorted_permutations_with_consecutive_ranks(order):
+    table = pattern_table(order)
+    assert table.dtype == np.int8 and not table.flags.writeable
+    assert [tuple(row) for row in table.tolist()] == sorted(permutations(range(order)))
+    assert np.array_equal(_ranks_for_digit_rows(table), np.arange(1, math.factorial(order) + 1))
+    assert pattern_strings(order) == ["".join(map(str, row)) for row in table.tolist()]
+
+
+@pytest.mark.parametrize("order", range(2, 8))
+def test_table_position_counts_equal_the_loop_bit_for_bit(order):
+    rng = np.random.default_rng(order)
+    ints = rng.integers(0, 40, size=math.factorial(order))
+    ints[rng.random(ints.size) < 0.3] = 0  # sparse, as at high order
+    for counts in (ints, ints / 7):
+        got = position_counts(counts, order)
+        want = position_counts_by_loop(counts, order)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order", range(3, 8))
+def test_table_families_equal_enumeration(order):
+    assert pattern_family(PatternFamily.MONDAY_LARGEST, order) == family_ids_by_enumeration(
+        order, lambda p: p[-1] == 0
+    )
+    assert pattern_family(PatternFamily.MONDAY_WORST_FRIDAY_BEST, order) == family_ids_by_enumeration(
+        order, lambda p: p[0] == 0 and p[-1] == order - 1
+    )
 
 
 # ---------------------------------------------------------------------------
