@@ -9,6 +9,10 @@ The inputs under ``tests/goldens`` are fixed data files:
   ``numpy.random.default_rng(2000)``, six decimals.
 - ``dated.csv``: weekday returns for 2015 from ``default_rng(21)``, with
   four holidays that leave incomplete calendar weeks.
+- ``prices.csv.gz``: 301 weekday closing prices (``date,close,volume``,
+  Windows line endings) from 2019-07-04 to 2020-08-31, from
+  ``default_rng(31)``, with holidays on 2019-12-25 and 2020-01-01; both
+  edge weeks are partial.
 
 A report that differs fails the test, which prints the command that
 regenerates the golden.  Regenerate only for an intended change of
@@ -29,6 +33,7 @@ GOLDENS = "tests/goldens"
 NYSE = f"{GOLDENS}/nyse.csv.gz"
 RETURNS = f"{GOLDENS}/returns2k.csv.gz"
 DATED = f"{GOLDENS}/dated.csv"
+PRICES = f"{GOLDENS}/prices.csv.gz"
 
 # golden file -> CLI arguments; report paths are relative to the repository root
 CASES = {
@@ -39,6 +44,10 @@ CASES = {
     "analyze-calendar.json": [
         "analyze", "--input", DATED, "--column", "ret", "--date-column", "date",
         "--weeks", "calendar",
+    ],
+    "analyze-prices.json": [
+        "analyze", "--input", PRICES, "--price-column", "close", "--date-column", "date",
+        "--weeks", "calendar", "--subperiods", "150,150",
     ],
     "analyze-d6.json": ["analyze", "--input", RETURNS, "--column", "ret", "--d", "6"],
     "simulate.json": [

@@ -240,6 +240,31 @@ def test_calendar_weeks_requires_dates():
         calendar_weeks(ReturnSeries(values=np.arange(10, dtype=float)))
 
 
+def test_calendar_weeks_across_year_boundary():
+    dates = _weekday_dates(date(2019, 12, 30), 5)  # ISO week 2020-W01 starts in 2019
+    series = ReturnSeries(values=np.arange(5, dtype=float), dates=tuple(dates))
+    grouped = calendar_weeks(series)
+    assert grouped.windows.shape == (1, 5)
+    assert grouped.skipped_weeks == 0
+
+
+def test_calendar_weeks_iso_week_53():
+    dates = _weekday_dates(date(2020, 12, 21), 15)  # 2020-W52, 2020-W53, 2021-W01
+    assert dates[5].isocalendar()[:2] == (2020, 53)
+    series = ReturnSeries(values=np.arange(15, dtype=float), dates=tuple(dates))
+    grouped = calendar_weeks(series)
+    assert grouped.skipped_weeks == 0
+    assert np.array_equal(grouped.windows, np.arange(15, dtype=float).reshape(3, 5))
+
+
+def test_calendar_weeks_partial_edges_each_skip_once():
+    dates = _weekday_dates(date(2020, 1, 8), 10)  # Wed..Fri, a full week, Mon..Tue
+    series = ReturnSeries(values=np.arange(10, dtype=float), dates=tuple(dates))
+    grouped = calendar_weeks(series)
+    assert grouped.skipped_weeks == 2
+    assert np.array_equal(grouped.windows, [[3.0, 4.0, 5.0, 6.0, 7.0]])
+
+
 def test_calendar_weeks_emits_monday_to_friday_only():
     dates = _weekday_dates(date(2021, 3, 1), 40)
     series = ReturnSeries(values=np.arange(40, dtype=float), dates=tuple(dates))
