@@ -145,6 +145,48 @@ def test_analyze_csv_format_carries_same_numbers(fixture_csv):
     assert lines["sections[0].position_matrix.rows[0].counts[0]"] == "637"
 
 
+def _price_file(tmp_path, days):
+    path = tmp_path / "prices.csv"
+    rows = [f"{day},{100 + i}" for i, day in enumerate(days)]
+    path.write_text("\n".join(["date,close", *rows]) + "\n", encoding="utf-8")
+    return path
+
+
+def _weekdays(first: str, count: int) -> list[str]:
+    start = np.datetime64(first)
+    return [str(start + i) for i in range(count)]
+
+
+@pytest.mark.parametrize(
+    ("days", "subperiods", "weekend"),
+    [
+        # data row 5 is a Saturday
+        (["2020-01-06", "2020-01-07", "2020-01-08", "2020-01-09", "2020-01-11", "2020-01-13"],
+         [], "2020-01-11"),
+        # a full first subperiod, then a Saturday in the second
+        (["2020-01-03", *_weekdays("2020-01-06", 5), *_weekdays("2020-01-13", 5),
+          "2020-01-18", "2020-01-20"],
+         ["--subperiods", "5,7"], "2020-01-18"),
+    ],
+    ids=["whole-series", "second-subperiod"],
+)
+def test_analyze_weekend_error_names_the_date(tmp_path, capsys, days, subperiods, weekend):
+    path = _price_file(tmp_path, days)
+    argv = ["analyze", "--input", str(path), "--price-column", "close", "--date-column", "date",
+            "--weeks", "calendar", *subperiods]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: weekend date {weekend}\n" in err
+    assert "row" not in err
+
+
+def test_analyze_order_error_names_the_row(tmp_path, capsys):
+    path = _price_file(tmp_path, ["2020-01-06", "2020-01-08", "2020-01-07", "2020-01-09"])
+    argv = ["analyze", "--input", str(path), "--price-column", "close", "--date-column", "date"]
+    assert cli.main(argv) == 2
+    assert "error: row 3: date 2020-01-07 is not after 2020-01-08\n" in capsys.readouterr().err
+
+
 def test_analyze_missing_file_exits_2(tmp_path):
     out = run_cli("analyze", "--input", str(tmp_path / "absent.csv"), "--column", "r")
     assert out.returncode == 2

@@ -1,9 +1,12 @@
 import gzip
 import math
+import warnings
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ordinal_seasonality.errors import (
     InvalidInputError,
@@ -19,6 +22,7 @@ from ordinal_seasonality.ingest import (
     log_returns,
     shuffle_series,
     split_subperiods,
+    _load_rows,
 )
 
 
@@ -99,6 +103,142 @@ def test_load_rejects_nan_cell(tmp_path):
         load_csv(path, return_column="ret")
 
 
+def test_load_order_break_names_row(tmp_path):
+    path = _write(
+        tmp_path, "order.csv", "date,ret\n2020-01-06,0.1\n2020-01-08,0.2\n2020-01-07,0.3\n"
+    )
+    with pytest.raises(OrderError, match=r"^row 3: date 2020-01-07 is not after 2020-01-08$"):
+        load_csv(path, date_column="date", return_column="ret")
+
+
+BOM_TEXT = "\ufeffdate,close\n2020-01-06,100\n2020-01-07,101\n"
+
+
+def test_load_skips_byte_order_mark(tmp_path):
+    path = _write(tmp_path, "excel.csv", BOM_TEXT)
+    assert path.read_bytes().startswith(b"\xef\xbb\xbfdate,")
+    series = load_csv(path, date_column="date", price_column="close")
+    assert series.values.tolist() == [100.0, 101.0]
+    assert series.dates.tolist() == [date(2020, 1, 6), date(2020, 1, 7)]
+
+
+def test_load_skips_byte_order_mark_gzip(tmp_path):
+    path = tmp_path / "excel.csv.gz"
+    path.write_bytes(gzip.compress(BOM_TEXT.encode("utf-8")))
+    series = load_csv(path, date_column="date", price_column="close")
+    assert series.values.tolist() == [100.0, 101.0]
+    assert series.dates.tolist() == [date(2020, 1, 6), date(2020, 1, 7)]
+
+
+def test_load_blank_lines_emit_no_warning(tmp_path):
+    blank = _write(tmp_path, "blank.csv", "date,ret\n\n2020-01-06,0.1\n\n\n2020-01-07,0.2\n\n")
+    only_blank = _write(tmp_path, "only-blank.csv", "date,ret\n\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = load_csv(blank, date_column="date", return_column="ret")
+        with pytest.raises(InvalidInputError, match="no data rows"):
+            load_csv(only_blank, date_column="date", return_column="ret")
+    assert series.values.tolist() == [0.1, 0.2]
+
+
+# Lines the bulk parser and the row loop must agree on, each put into a file
+# of clean rows.  A date variant is a template of a year after every date
+# before it; the rows after it move on past it.
+_DATE_VARIANTS = [
+    "{y}-01", "{y}0106", "{y}-02-30", "{y}-04-31", "{y}-13-01", "{y}-00-10", "{y}-01-00",
+    "{y}-W02-1", " {y}-03-02 ", '"{y}-03-03"', "{y}-01-06x", "{y}-03-04\x00", "{y}-3-04",
+    "{y}-1/-04", "{y}-0:-04", "{y}/03-04", "{y}-03/04", "{y}-02-29", "", "0000-01-01",
+]
+_VALUE_VARIANTS = [
+    "nan", "1e999", "-inf", "1_0", "", " 1.5 ", '"2.5"', "-0", ".5", "1e-400", "0x10", "1,5",
+]
+_SPECIAL_LINES = (
+    [("row", value) for value in _VALUE_VARIANTS]
+    + [("bad-date", text) for text in _DATE_VARIANTS]
+    + [(kind,) for kind in ("blank", "spaces", "comment", "empty-cells")]
+    + [(kind,) for kind in ("short", "extra", "quoted-note", "repeat-date")]
+)
+_FIXED_LINES = {"blank": "", "spaces": "   ", "comment": "# note", "empty-cells": ",,"}
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+
+def _render_csv(lines, order, newline) -> str:
+    """A CSV with columns ``order`` (a permutation of date, close, note)."""
+    out = [",".join(order)]
+    day = date(2019, 12, 30)
+    for line in lines:
+        kind = line[0]
+        if kind in _FIXED_LINES:
+            out.append(_FIXED_LINES[kind])
+            continue
+        if kind != "repeat-date":
+            day += timedelta(days=1)
+        cells = {"date": day.isoformat(), "close": "1.25", "note": "n"}
+        if kind == "row":
+            cells["close"] = line[1]
+        elif kind == "bad-date":
+            cells["date"] = line[1].format(y=day.year + 1)
+            day = date(day.year + 2, 1, 1)
+        elif kind == "quoted-note":
+            cells["note"] = '"a,b\n""c"""'
+        row = [cells[name] for name in order]
+        if kind == "short":
+            row = row[:-1]
+        elif kind == "extra":
+            row.append("x")
+        out.append(",".join(row))
+    return newline.join(out) + newline
+
+
+def _outcome(load):
+    try:
+        values, dates = load()
+    except Exception as exc:  # the same error is part of the contract
+        return type(exc), str(exc)
+    return values.tobytes(), None if dates is None else np.asarray(dates, "datetime64[D]").tolist()
+
+
+def _assert_bulk_matches_rows(path, date_column):
+    def bulk():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = load_csv(path, date_column=date_column, return_column="close")
+        return series.values, series.dates
+
+    assert _outcome(bulk) == _outcome(lambda: _load_rows(path, "close", date_column))
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    values=st.lists(_FLOATS, max_size=8),
+    specials=st.lists(st.tuples(st.integers(0, 8), st.sampled_from(_SPECIAL_LINES)), max_size=2),
+    order=st.permutations(["date", "close", "note"]),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    dated=st.booleans(),
+    compressed=st.booleans(),
+)
+def test_bulk_parse_matches_row_loop(tmp_path, values, specials, order, newline, dated, compressed):
+    lines = [("row", value) for value in values]
+    for position, line in specials:
+        lines.insert(position, line)
+    data = _render_csv(lines, order, newline).encode("utf-8")
+    path = tmp_path / ("input.csv.gz" if compressed else "input.csv")
+    path.write_bytes(gzip.compress(data) if compressed else data)
+    _assert_bulk_matches_rows(path, "date" if dated else None)
+
+
+def test_bulk_parse_matches_row_loop_on_every_special_line(tmp_path):
+    path = tmp_path / "input.csv"
+    for line in _SPECIAL_LINES:
+        for position in (0, 2):
+            lines = [("row", "1.5")] * 4
+            lines.insert(position, line)
+            path.write_text(_render_csv(lines, ["date", "close", "note"], "\r\n"), encoding="utf-8")
+            _assert_bulk_matches_rows(path, "date")
+
+
 # ---------------------------------------------------------------------------
 # log returns
 # ---------------------------------------------------------------------------
@@ -168,8 +308,8 @@ def test_split_preserves_dates():
     dates = tuple(start + timedelta(days=i) for i in range(10))
     series = ReturnSeries(values=np.arange(10, dtype=float), dates=dates)
     parts = split_subperiods(series, SubperiodSpec((4, 6)))
-    assert parts[0].dates == dates[:4]
-    assert parts[1].dates == dates[4:]
+    assert np.array_equal(parts[0].dates, np.array(dates[:4], dtype="datetime64[D]"))
+    assert np.array_equal(parts[1].dates, np.array(dates[4:], dtype="datetime64[D]"))
 
 
 # ---------------------------------------------------------------------------
