@@ -71,7 +71,8 @@ _INPUT_ERRORS = (
     OrderError,
     RejectedRowError,
     DegenerateSeriesError,
-    FileNotFoundError,
+    OSError,  # missing, unreadable or directory paths, corrupt gzip
+    UnicodeDecodeError,
 )
 
 
@@ -527,6 +528,16 @@ def _subperiod_list(text: str) -> list[int]:
     return lengths
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _alpha(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
@@ -569,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--hurst", type=_hurst_list, required=True, help="comma-separated H values")
     simulate.add_argument("--length", type=int, required=True)
     simulate.add_argument("--reps", type=int, required=True)
-    simulate.add_argument("--seed", type=int, required=True)
+    simulate.add_argument("--seed", type=_seed, required=True)
     simulate.add_argument("--jobs", type=int, default=1)
     simulate.add_argument("--alpha", type=_alpha, default=0.05)
     _add_output_flags(simulate)
@@ -579,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(shuffle)
     shuffle.add_argument("--d", type=int, default=5)
     shuffle.add_argument("--reps", type=int, required=True)
-    shuffle.add_argument("--seed", type=int, required=True)
+    shuffle.add_argument("--seed", type=_seed, required=True)
     shuffle.add_argument("--jobs", type=int, default=1)
     shuffle.add_argument("--alpha", type=_alpha, default=0.05)
     _add_output_flags(shuffle)
@@ -609,7 +620,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     level = os.environ.get("ORDINAL_SEASONALITY_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage errors exit 2, --help exits 0
+        return exc.code
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:

@@ -1,13 +1,13 @@
 """Exact fractional Gaussian noise and the Monte-Carlo replication engine.
 
-Two exact samplers are provided: circulant embedding (Davies-Harte,
-O(n log n)) as the default, and the Hosking conditional recursion (O(n^2))
-as a fallback when the embedding is not non-negative definite numerically.
-Both realize the fGn autocovariance
+One exact sampler, circulant embedding (Davies-Harte, O(n log n)), realizes
+the fGn autocovariance
 
     gamma(k) = (sigma^2 / 2) * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H})
 
 exactly, so covariance properties are testable rather than approximate.
+The embedding's eigenvalues are non-negative for every H in (0, 1), and
+gamma is evaluated without cancellation, so no input needs a fallback.
 
 One engine, :func:`run_replications`, repeats the five seasonality tests
 over seeded replications, serially or on a process pool.  It drives both
@@ -18,7 +18,6 @@ command).
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -52,12 +51,6 @@ from .stats import (
     test_h5_monday_worst_friday_best,
 )
 
-log = logging.getLogger(__name__)
-
-# relative tolerance for calling a circulant eigenvalue "negative"
-_EIGENVALUE_TOL = 1e-8
-
-
 @dataclass(frozen=True)
 class FgnConfig:
     """One fractional-Gaussian-noise sample: Hurst exponent, length, scale, seed."""
@@ -74,6 +67,8 @@ class FgnConfig:
             raise InvalidInputError("length must be >= 2")
         if self.sigma <= 0:
             raise InvalidInputError("sigma must be positive")
+        if self.seed is not None and self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -84,34 +79,43 @@ class EnsembleConfig:
     replications: int
     master_seed: int
 
+    def __post_init__(self) -> None:
+        if self.master_seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.master_seed}")
+
 
 def fgn_autocovariance(hurst: float, lags, sigma: float = 1.0) -> np.ndarray:
-    """Closed-form fGn autocovariance gamma(k) at the given lags."""
+    """Closed-form fGn autocovariance gamma(k) at the given lags.
+
+    Evaluated as k^{2H} ((1 + 1/k)^{2H} - 1 + (1 - 1/k)^{2H} - 1) with
+    log1p/expm1, so the relative error stays near machine precision at
+    every lag instead of growing like eps * k^2 through cancellation.
+    """
     k = np.abs(np.asarray(lags, dtype=float))
     two_h = 2.0 * hurst
-    return 0.5 * sigma**2 * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
+    with np.errstate(divide="ignore", invalid="ignore"):  # lag 0 is set below; lag 1 hits log1p(-1)
+        inv = 1.0 / k
+        gamma = k**two_h * (np.expm1(two_h * np.log1p(inv)) + np.expm1(two_h * np.log1p(-inv)))
+    return np.where(k == 0.0, sigma**2, 0.5 * sigma**2 * gamma)
 
 
 @lru_cache(maxsize=8)
-def _circulant_sqrt_eigenvalues(length: int, hurst: float) -> tuple | None:
-    """sqrt of the embedding eigenvalues for unit sigma, or None if indefinite.
+def _circulant_sqrt_eigenvalues(length: int, hurst: float) -> np.ndarray:
+    """sqrt of the embedding eigenvalues for unit sigma, as a read-only array.
 
-    Cached because every replication of an ensemble shares them.
+    The exact eigenvalues are non-negative for every H in (0, 1); clipping
+    only removes FFT rounding around zero.  Cached because every
+    replication of an ensemble shares them.
     """
     gamma = fgn_autocovariance(hurst, np.arange(length + 1))
     row = np.concatenate([gamma, gamma[-2:0:-1]])  # length 2n, gamma(n) at position n
-    eig = np.fft.fft(row).real
-    floor = -_EIGENVALUE_TOL * eig.max()
-    if eig.min() < floor:
-        return None
-    return (np.sqrt(np.clip(eig, 0.0, None)),)
+    sqrt_eig = np.sqrt(np.clip(np.fft.fft(row).real, 0.0, None))
+    sqrt_eig.flags.writeable = False
+    return sqrt_eig
 
 
-def _fgn_circulant(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray | None:
-    cached = _circulant_sqrt_eigenvalues(length, hurst)
-    if cached is None:
-        return None
-    (sqrt_eig,) = cached
+def _fgn_circulant(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
+    sqrt_eig = _circulant_sqrt_eigenvalues(length, hurst)
     n, m = length, 2 * length
     g1 = rng.standard_normal(n)
     g2 = rng.standard_normal(n)
@@ -125,64 +129,12 @@ def _fgn_circulant(length: int, hurst: float, rng: np.random.Generator) -> np.nd
     return np.fft.fft(w)[:n].real
 
 
-def _fgn_hosking(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
-    gamma = fgn_autocovariance(hurst, np.arange(length))
-    noise = rng.standard_normal(length)
-    x = np.empty(length)
-    x[0] = noise[0] * math.sqrt(gamma[0])
-    if length == 1:
-        return x
-    variance = gamma[0]
-    phi = np.empty(0)
-    for t in range(1, length):
-        if t == 1:
-            kappa = gamma[1] / variance
-            phi_new = np.array([kappa])
-        else:
-            kappa = (gamma[t] - phi @ gamma[t - 1:0:-1]) / variance
-            phi_new = np.empty(t)
-            phi_new[: t - 1] = phi - kappa * phi[::-1]
-            phi_new[t - 1] = kappa
-        variance *= 1.0 - kappa * kappa
-        mean = phi_new @ x[t - 1 :: -1]
-        x[t] = mean + math.sqrt(variance) * noise[t]
-        phi = phi_new
-    return x
-
-
-def _generate_values(
-    length: int, hurst: float, sigma: float, rng: np.random.Generator, method: str
-) -> tuple[np.ndarray, str]:
-    if method not in ("auto", "circulant", "hosking"):
-        raise InvalidInputError(f"unknown generator method {method!r}")
-    if method in ("auto", "circulant"):
-        values = _fgn_circulant(length, hurst, rng)
-        if values is not None:
-            return sigma * values, "circulant"
-        if method == "circulant":
-            raise InvalidInputError(
-                f"circulant embedding not non-negative definite for H={hurst}, n={length}"
-            )
-        log.warning(
-            "circulant embedding indefinite for H=%s, n=%d; falling back to Hosking recursion",
-            hurst,
-            length,
-        )
-    return sigma * _fgn_hosking(length, hurst, rng), "hosking"
-
-
-def generator_method(length: int, hurst: float) -> str:
-    """Which sampler an auto-mode generation of this shape will use."""
-    return "circulant" if _circulant_sqrt_eigenvalues(length, hurst) is not None else "hosking"
-
-
-def fgn_generate(cfg: FgnConfig, method: str = "auto") -> ReturnSeries:
-    """Generate one fGn sample; deterministic for a given config and method."""
+def fgn_generate(cfg: FgnConfig) -> ReturnSeries:
+    """Generate one fGn sample by circulant embedding; deterministic for a given config."""
     if cfg.seed is None:
         raise InvalidInputError("fgn_generate requires an explicit seed")
-    rng = np.random.default_rng(cfg.seed)
-    values, used = _generate_values(cfg.length, cfg.hurst, cfg.sigma, rng, method)
-    return ReturnSeries(values=values, label=f"fgn(H={cfg.hurst:g}, n={cfg.length}, {used})")
+    values = cfg.sigma * _fgn_circulant(cfg.length, cfg.hurst, np.random.default_rng(cfg.seed))
+    return ReturnSeries(values=values, label=f"fgn(H={cfg.hurst:g}, n={cfg.length}, circulant)")
 
 
 def fbm_from_fgn(noise) -> ReturnSeries:
@@ -232,7 +184,7 @@ def fgn_replication(
 ) -> Replication:
     """Tests on the fGn sample of replication ``index``."""
     rng = replication_rng(master_seed, index)
-    values, _ = _generate_values(length, hurst, sigma, rng, "auto")
+    values = sigma * _fgn_circulant(length, hurst, rng)
     return _tested(count_patterns(values, order=order, stride=order))
 
 
@@ -313,7 +265,7 @@ class SimulationReport:
     master_seed: int
     order: int
     weeks_per_replication: int
-    generator: str
+    generator: str  # provenance: always "circulant"
     z_weeks: int
     h1: ChiAggregate
     h2: tuple[ChiAggregate, ...]
@@ -383,7 +335,7 @@ def run_ensemble(cfg: EnsembleConfig, jobs: int = 1, z_weeks: int | None = None)
         master_seed=cfg.master_seed,
         order=order,
         weeks_per_replication=weeks,
-        generator=generator_method(base.length, base.hurst),
+        generator="circulant",
         z_weeks=z_weeks,
         h1=ChiAggregate(
             averaged=_averaged_chi_outcome(mean_counts, mean_counts.size - 1, {"kind": "pattern-uniformity"}),

@@ -68,9 +68,7 @@ class OrdinalPattern:
         return len(self.digits)
 
     def __str__(self) -> str:
-        if self.order <= 10:
-            return "".join(str(d) for d in self.digits)
-        return ",".join(str(d) for d in self.digits)
+        return "".join(str(d) for d in self.digits)
 
 
 def _validate_order(order: int) -> int:

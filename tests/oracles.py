@@ -1,13 +1,14 @@
 """Independent numerical oracles used by the test suite.
 
 Everything here is deliberately written from scratch (adaptive Simpson
-quadrature over hand-coded densities, brute-force enumeration) so that the
-library code paths being tested share nothing with the values they are
-checked against.
+quadrature over hand-coded densities, brute-force enumeration, 60-digit
+decimal arithmetic, the Hosking recursion) so that the library code paths
+being tested share nothing with the values they are checked against.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from itertools import permutations
 
@@ -112,3 +113,52 @@ def position_counts_by_loop(counts, order: int) -> np.ndarray:
             for j, i in enumerate(perm):
                 a[i, j] += c
     return a
+
+
+def fgn_autocovariance_decimal(hurst: float, lag: int, digits: int = 60) -> float:
+    """Unit-sigma fGn autocovariance at one lag in ``digits``-digit decimal arithmetic.
+
+    The second difference of k^{2H} cancels about 2*log10(k) digits, which
+    60 digits absorb at any lag a float array can index.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        two_h = 2 * decimal.Decimal(hurst)
+
+        def power(x: int) -> decimal.Decimal:
+            return (two_h * decimal.Decimal(x).ln()).exp() if x > 0 else decimal.Decimal(0)
+
+        k = abs(int(lag))
+        return float((power(k + 1) - 2 * power(k) + power(abs(k - 1))) / 2)
+
+
+def fgn_hosking(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
+    """Exact unit-sigma fGn by the Hosking (Durbin-Levinson) recursion, O(n^2).
+
+    Computes its own autocovariance from the textbook closed form, so it
+    shares nothing with the library's circulant sampler.
+    """
+    k = np.arange(length, dtype=float)
+    two_h = 2.0 * hurst
+    gamma = 0.5 * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
+    noise = rng.standard_normal(length)
+    x = np.empty(length)
+    x[0] = noise[0] * math.sqrt(gamma[0])
+    if length == 1:
+        return x
+    variance = gamma[0]
+    phi = np.empty(0)
+    for t in range(1, length):
+        if t == 1:
+            kappa = gamma[1] / variance
+            phi_new = np.array([kappa])
+        else:
+            kappa = (gamma[t] - phi @ gamma[t - 1:0:-1]) / variance
+            phi_new = np.empty(t)
+            phi_new[: t - 1] = phi - kappa * phi[::-1]
+            phi_new[t - 1] = kappa
+        variance *= 1.0 - kappa * kappa
+        mean = phi_new @ x[t - 1 :: -1]
+        x[t] = mean + math.sqrt(variance) * noise[t]
+        phi = phi_new
+    return x

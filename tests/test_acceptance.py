@@ -30,7 +30,7 @@ from ordinal_seasonality.fixtures import (
 from ordinal_seasonality.hurst import estimate_hurst
 from ordinal_seasonality.patterns import PatternFamily, pattern_family
 from ordinal_seasonality.stats import chi2_sf, normal_sf
-from oracles import chi2_sf_quadrature, normal_sf_quadrature
+from oracles import chi2_sf_quadrature, fgn_hosking, normal_sf_quadrature
 
 JOBS = 4
 
@@ -214,8 +214,8 @@ def test_criterion_6_fgn_covariance_suite():
             ratio = abs(sample - target) / math.sqrt(variance)
             worst = max(worst, ratio)
 
-    circ = fgn_generate(FgnConfig(hurst=0.7, length=10_000, seed=501), method="circulant").values
-    hosk = fgn_generate(FgnConfig(hurst=0.7, length=10_000, seed=502), method="hosking").values
+    circ = fgn_generate(FgnConfig(hurst=0.7, length=10_000, seed=501)).values
+    hosk = fgn_hosking(10_000, 0.7, np.random.default_rng(502))
     ks = ks_2samp(circ, hosk)
     elapsed = time.perf_counter() - start
     ok = worst <= 4.0 and ks.pvalue > 0.01 and elapsed < 120.0

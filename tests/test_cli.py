@@ -280,6 +280,7 @@ def test_shuffle_requires_seed(returns_csv):
         (["--reps", "0"], "replications must be >= 1"),
         (["--reps", "4", "--jobs", "0"], "jobs must be >= 1"),
         (["--reps", "4", "--jobs", "-3"], "jobs must be >= 1"),
+        (["--reps", "4", "--seed", "-1"], "seed must be >= 0"),
     ],
 )
 @pytest.mark.parametrize("command", ["simulate", "shuffle"])
@@ -346,3 +347,20 @@ def test_exit_codes_for_error_classes(monkeypatch, returns_csv, capsys):
     monkeypatch.setattr(cli, "load_csv", boom)
     assert cli.main(["analyze", "--input", str(returns_csv), "--column", "ret"]) == 1
     capsys.readouterr()
+
+@pytest.mark.parametrize("case", ["input-directory", "plain-text-gz", "invalid-utf8", "output-directory"])
+def test_file_errors_exit_2_without_traceback(case, tmp_path, returns_csv, capsys):
+    source, output = str(returns_csv), []
+    if case == "input-directory":
+        source = str(tmp_path)
+    elif case == "plain-text-gz":
+        source = str(tmp_path / "returns.csv.gz")
+        (tmp_path / "returns.csv.gz").write_text("ret\n0.01\n0.02\n", encoding="utf-8")
+    elif case == "invalid-utf8":
+        source = str(tmp_path / "latin1.csv")
+        (tmp_path / "latin1.csv").write_bytes(b"ret\n0.01\n\xff\xfe0.02\n")
+    else:
+        output = ["--output", str(tmp_path)]
+    assert cli.main(["hurst", "--input", source, "--column", "ret", *output]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

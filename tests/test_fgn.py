@@ -6,15 +6,15 @@ from ordinal_seasonality.errors import InvalidInputError
 from ordinal_seasonality.fgn import (
     EnsembleConfig,
     FgnConfig,
-    _fgn_hosking,
+    _fgn_circulant,
     fbm_from_fgn,
     fgn_autocovariance,
     fgn_generate,
     first_differences,
-    generator_method,
     replication_rng,
     run_ensemble,
 )
+from oracles import fgn_autocovariance_decimal, fgn_hosking
 
 
 def _sample_autocov(x: np.ndarray, lag: int) -> float:
@@ -39,6 +39,30 @@ def test_autocovariance_closed_form_values():
     assert fgn_autocovariance(0.7, [0], sigma=2.0)[0] == 4.0
 
 
+@pytest.mark.parametrize("hurst", [0.01, 0.1, 0.3, 0.7, 0.9, 0.99, 0.999])
+def test_autocovariance_matches_decimal_oracle_at_large_lags(hurst):
+    # the naive second difference of k^{2H} loses eps * k^2 relative accuracy
+    lags = [1, 2, 10, 1_000, 100_000, 1_000_000, 4_000_000]
+    expected = [fgn_autocovariance_decimal(hurst, lag) for lag in lags]
+    assert fgn_autocovariance(hurst, lags) == pytest.approx(expected, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("hurst", [0.01, 0.95, 0.99, 0.999])
+def test_circulant_eigenvalues_non_negative_at_a_million(hurst):
+    # recomputed without the library's clipping: only FFT rounding may go below zero
+    n = 1_000_000
+    gamma = fgn_autocovariance(hurst, np.arange(n + 1))
+    eig = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+    assert eig.min() >= -n * np.finfo(float).eps * eig.max()
+
+
+def test_near_unit_hurst_at_a_million_uses_circulant():
+    series = fgn_generate(FgnConfig(hurst=0.99, length=1_000_000, seed=4))
+    assert series.values.shape == (1_000_000,)
+    assert np.isfinite(series.values).all()
+    assert series.label == "fgn(H=0.99, n=1000000, circulant)"
+
+
 def test_config_validation():
     with pytest.raises(InvalidInputError):
         FgnConfig(hurst=1.2, length=100)
@@ -48,6 +72,10 @@ def test_config_validation():
         FgnConfig(hurst=0.5, length=100, sigma=0.0)
     with pytest.raises(InvalidInputError):
         fgn_generate(FgnConfig(hurst=0.5, length=100))  # no seed
+    with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+        FgnConfig(hurst=0.5, length=100, seed=-1)
+    with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+        EnsembleConfig(base=FgnConfig(hurst=0.5, length=100), replications=2, master_seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +116,15 @@ def test_sigma_scales_values():
 
 def test_hosking_matches_circulant_distribution():
     n = 4000
-    circ = fgn_generate(FgnConfig(hurst=0.8, length=n, seed=21), method="circulant").values
-    hosk = fgn_generate(FgnConfig(hurst=0.8, length=n, seed=22), method="hosking").values
+    circ = fgn_generate(FgnConfig(hurst=0.8, length=n, seed=21)).values
+    hosk = fgn_hosking(n, 0.8, np.random.default_rng(22))
     stat = ks_2samp(circ, hosk)
     assert stat.pvalue > 0.01
 
 
 def test_hosking_lag_one_covariance():
     # long memory keeps the sample autocovariance noisy, so the seed is frozen
-    hosk = fgn_generate(FgnConfig(hurst=0.8, length=8000, seed=23), method="hosking").values
+    hosk = fgn_hosking(8000, 0.8, np.random.default_rng(23))
     assert _sample_autocov(hosk, 1) == pytest.approx(
         fgn_autocovariance(0.8, [1])[0], abs=0.05
     )
@@ -107,17 +135,12 @@ def test_hosking_recursion_small_case_exact_variance():
     # reproduce gamma(0) and gamma(1)
     reps = 4000
     rng = np.random.default_rng(41)
-    samples = np.array([_fgn_hosking(4, 0.7, rng) for _ in range(reps)])
+    samples = np.array([fgn_hosking(4, 0.7, rng) for _ in range(reps)])
     gamma = fgn_autocovariance(0.7, [0, 1, 2])
     cov = np.cov(samples.T, bias=True)
     assert cov[0, 0] == pytest.approx(gamma[0], abs=0.08)
     assert cov[0, 1] == pytest.approx(gamma[1], abs=0.08)
     assert cov[1, 3] == pytest.approx(gamma[2], abs=0.08)
-
-
-def test_generator_method_is_circulant_for_standard_shapes():
-    assert generator_method(10_000, 0.9) == "circulant"
-    assert generator_method(10_000, 0.1) == "circulant"
 
 
 @pytest.mark.parametrize("hurst", [0.2, 0.5, 0.8])
@@ -147,14 +170,11 @@ def test_fbm_round_trip():
 
 
 def test_fbm_variance_growth_exponent():
-    from ordinal_seasonality.fgn import _generate_values
-
     reps, length, hurst = 500, 1000, 0.7
     paths = np.empty((reps, length))
     for r in range(reps):
         rng = replication_rng(99, r)
-        values, _ = _generate_values(length, hurst, 1.0, rng, "auto")
-        paths[r] = fbm_from_fgn(values).values
+        paths[r] = fbm_from_fgn(_fgn_circulant(length, hurst, rng)).values
     times = np.unique(np.geomspace(10, length, 12).astype(int))
     var = paths[:, times - 1].var(axis=0)
     slope = np.polyfit(np.log(times), np.log(var), 1)[0]
