@@ -1,14 +1,22 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaincc, gammainccinv
+
+import ordinal_seasonality
 
 from ordinal_seasonality.errors import DegenerateFrequencyError, InvalidInputError
 from ordinal_seasonality.patterns import PatternDistribution
 from ordinal_seasonality.stats import (
     BinomialTestInput,
+    binomial_test,
     binomial_z,
     chi2_sf,
     chi2_statistic,
@@ -180,6 +188,15 @@ def test_binomial_z_sign_convention():
     assert z > 0
 
 
+@pytest.mark.parametrize(("p_e", "p_o", "weeks"), [(0.2, 0.3, 5000), (0.2, 0.1885, 2000)])
+def test_binomial_tails_do_not_cancel(p_e, p_o, weeks):
+    payload = binomial_test(p_e, p_o, weeks).observed
+    z = binomial_z(BinomialTestInput(p_e=p_e, p_o=p_o, weeks=weeks))
+    phi = 0.5 * math.erfc(-z / math.sqrt(2.0))  # P(Z <= z), about 5e-54 for the first case
+    assert payload["p_lower_tail"] == pytest.approx(phi, rel=1e-12, abs=0.0)
+    assert payload["p_upper_tail"] == pytest.approx(0.5 * math.erfc(z / math.sqrt(2.0)), rel=1e-12, abs=0.0)
+
+
 def test_binomial_z_degenerate_raises():
     with pytest.raises(DegenerateFrequencyError):
         binomial_z(BinomialTestInput(p_e=0.2, p_o=0.0, weeks=10))
@@ -240,9 +257,17 @@ def test_chi2_sf_rejects_negative():
         chi2_sf(-1.0, 4)
 
 
-def test_p_value_monotone_in_statistic():
+def test_chi2_sf_edge_inputs():
     for df in (1, 4, 119):
-        values = [chi2_sf(x, df) for x in np.linspace(0.0, 300.0, 400)]
+        assert chi2_sf(math.inf, df) == 0.0
+        assert chi2_sf(1e-300, df) == 1.0
+    with pytest.raises(InvalidInputError):
+        chi2_sf(math.nan, 4)
+
+
+def test_p_value_monotone_in_statistic():
+    for df in (1, 4, 119, 40319):
+        values = [chi2_sf(x, df) for x in np.linspace(0.0, max(300.0, df + 6.0 * math.sqrt(2.0 * df)), 400)]
         assert all(b <= a for a, b in zip(values, values[1:]))
         # strictly decreasing wherever the tail is representably below 1
         interior = [v for v in values if 1e-12 < v < 1.0 - 1e-12]
@@ -254,6 +279,37 @@ def test_p_value_monotone_in_statistic():
 def test_chi2_sf_matches_quadrature_oracle(df):
     for x in (0.3, 1.0, 2.5, 5.0, 9.48773, 20.0, 50.0, 119.0, 157.8, 250.0, 500.0):
         assert chi2_sf(x, df) == pytest.approx(chi2_sf_quadrature(x, df), abs=1e-6)
+
+
+# df = D! - 1 for orders 2..10, plus the small dfs of H2/H3
+@pytest.mark.parametrize("df", [*range(1, 11), 23, 119, 719, 5039, 40319, 362879, 3628799])
+def test_chi2_sf_matches_gammaincc(df):
+    spread = 6.0 * math.sqrt(2.0 * df)
+    xs = np.concatenate(
+        [
+            np.linspace(0.0, 5000.0, 201),
+            np.linspace(max(0.0, df - spread), df + spread, 201),
+            [1e-300, 1e-10, float(df), math.nextafter(float(df), 0.0)],
+            # upper tails down to 1e-300
+            2.0 * gammainccinv(df / 2.0, 10.0 ** -np.arange(20.0, 301.0, 20.0)),
+        ]
+    )
+    worst = max(abs(chi2_sf(x, df) - gammaincc(df / 2.0, x / 2.0)) for x in xs)
+    assert worst <= (1e-12 if df <= 1000 else 1e-8)
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, ordinal_seasonality.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    root = str(Path(ordinal_seasonality.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_normal_sf_trivia():
