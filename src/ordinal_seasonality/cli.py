@@ -54,6 +54,7 @@ from .patterns import (
     pattern_strings,
 )
 from .stats import (
+    EXPECTED_FREQUENCY_FLOOR,
     TestOutcome,
     position_matrix,
     test_h1_pattern_uniformity,
@@ -259,6 +260,7 @@ def _analyze_section(part: ReturnSeries, args) -> dict:
     h1 = test_h1_pattern_uniformity(dist)
     rows = test_h2_day_rows(matrix)
     columns = test_h3_position_columns(matrix)
+    _log_section_decisions(part.label, dist, [h1, *rows, *columns])
 
     section = {
         "label": part.label,
@@ -303,6 +305,26 @@ def _analyze_section(part: ReturnSeries, args) -> dict:
         estimate = estimate_hurst(part, method=HurstMethod(args.method))
         section["hurst"] = _hurst_dict(estimate)
     return section
+
+
+def _log_section_decisions(label: str, dist: PatternDistribution, chi_outcomes) -> None:
+    """Log the tie and low-expected-frequency decisions that the section reports."""
+    if dist.ties_observed:
+        log.info(
+            "%s: %d of %d windows hold tied values; the earlier day ranks lower",
+            label,
+            dist.ties_observed,
+            dist.windows,
+        )
+    low = sum(outcome.observed["low_expected_frequency"] for outcome in chi_outcomes)
+    if low:
+        log.info(
+            "%s: %d of %d chi-squared tests expect fewer than %g counts per cell",
+            label,
+            low,
+            len(chi_outcomes),
+            EXPECTED_FREQUENCY_FLOOR,
+        )
 
 
 def cmd_analyze(args) -> int:
@@ -353,7 +375,7 @@ def simulation_row(report, alpha: float) -> dict:
         "hurst": report.hurst,
         "weeks": report.weeks_per_replication,
         "generator": report.generator,
-        "z_weeks": report.z_weeks,
+        "z_weeks": report.weeks_per_replication,
         "h1": _chi_aggregate_dict(report.h1, alpha),
         "h2": [_chi_aggregate_dict(a, alpha) for a in report.h2],
         "h3": [_chi_aggregate_dict(a, alpha) for a in report.h3],
@@ -371,6 +393,14 @@ def cmd_simulate(args) -> int:
             master_seed=args.seed,
         )
         report = run_ensemble(cfg, jobs=args.jobs)
+        mean_frequency = report.h1.averaged.observed["mean_expected_frequency"]
+        if mean_frequency < EXPECTED_FREQUENCY_FLOOR:
+            log.info(
+                "H=%g: mean expected pattern frequency %.2f is below %g",
+                hurst,
+                mean_frequency,
+                EXPECTED_FREQUENCY_FLOOR,
+            )
         rows.append(simulation_row(report, args.alpha))
     doc = {
         "command": "simulate",
@@ -617,8 +647,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    level = os.environ.get("ORDINAL_SEASONALITY_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = logging.getLevelName(os.environ.get("ORDINAL_SEASONALITY_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

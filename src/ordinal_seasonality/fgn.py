@@ -19,7 +19,6 @@ command).
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -30,7 +29,6 @@ import numpy as np
 from .errors import InvalidInputError
 from .ingest import ReturnSeries
 from .patterns import (
-    LowExpectedFrequencyWarning,
     PatternDistribution,
     PatternFamily,
     count_patterns,
@@ -165,16 +163,14 @@ Replication = tuple[np.ndarray, np.ndarray]
 
 
 def _tested(dist: PatternDistribution) -> Replication:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LowExpectedFrequencyWarning)
-        matrix = position_matrix(dist)
-        outcomes = [
-            test_h1_pattern_uniformity(dist),
-            *test_h2_day_rows(matrix),
-            *test_h3_position_columns(matrix),
-        ]
-        if dist.order >= 3:
-            outcomes += [test_h4_monday_largest(dist), test_h5_monday_worst_friday_best(dist)]
+    matrix = position_matrix(dist)
+    outcomes = [
+        test_h1_pattern_uniformity(dist),
+        *test_h2_day_rows(matrix),
+        *test_h3_position_columns(matrix),
+    ]
+    if dist.order >= 3:
+        outcomes += [test_h4_monday_largest(dist), test_h5_monday_worst_friday_best(dist)]
     p_values = [o.p_value for o in outcomes] + [math.nan] * (2 * dist.order + 3 - len(outcomes))
     return dist.counts, np.array(p_values)
 
@@ -192,7 +188,7 @@ def shuffle_replication(values: np.ndarray, order: int, master_seed: int, index:
     """Tests on the uniformly shuffled copy of ``values`` of replication ``index``."""
     rng = replication_rng(master_seed, index)
     shuffled = values[rng.permutation(values.size)]
-    return _tested(count_patterns(shuffled, order=order, stride=order, tie_warn_fraction=None))
+    return _tested(count_patterns(shuffled, order=order, stride=order))
 
 
 def run_replications(
@@ -266,7 +262,6 @@ class SimulationReport:
     order: int
     weeks_per_replication: int
     generator: str  # provenance: always "circulant"
-    z_weeks: int
     h1: ChiAggregate
     h2: tuple[ChiAggregate, ...]
     h3: tuple[ChiAggregate, ...]
@@ -282,13 +277,13 @@ def _averaged_chi_outcome(mean_cells: np.ndarray, df: int, payload: dict) -> Tes
 
 
 def _family_aggregate(
-    kind: PatternFamily, counts: np.ndarray, order: int, weeks: int, z_weeks: int, rejections: RejectionCounts
+    kind: PatternFamily, counts: np.ndarray, order: int, weeks: int, rejections: RejectionCounts
 ) -> BinomialAggregate:
     family = np.asarray(sorted(pattern_family(kind, order))) - 1
     p_e = family.size / counts.shape[1]  # the family's share under uniformity
     p_o = counts[:, family].sum(axis=1) / weeks
     return BinomialAggregate(
-        averaged=binomial_test(p_e, float(p_o.mean()), z_weeks, {"kind": kind.value}),
+        averaged=binomial_test(p_e, float(p_o.mean()), weeks, {"kind": kind.value}),
         rejections=rejections,
         mean_observed_frequency=float(p_o.mean()),
         expected_frequency=p_e,
@@ -296,14 +291,14 @@ def _family_aggregate(
     )
 
 
-def run_ensemble(cfg: EnsembleConfig, jobs: int = 1, z_weeks: int | None = None) -> SimulationReport:
+def run_ensemble(cfg: EnsembleConfig, jobs: int = 1) -> SimulationReport:
     """Run the replicated experiment: generate, count patterns, test H1-H5.
 
     The report is a deterministic function of ``cfg`` alone: replication
     seeds derive from ``master_seed`` and the replication index, and the
     reduction merges results in index order, so any ``jobs`` value yields
-    bit-identical output.  ``z_weeks`` sets the week count used by the
-    averaged-frequency z statistics (default: weeks per replication).
+    bit-identical output.  The averaged-frequency z statistics use the
+    weeks per replication.
     """
     base = cfg.base
     order = 5
@@ -311,19 +306,12 @@ def run_ensemble(cfg: EnsembleConfig, jobs: int = 1, z_weeks: int | None = None)
     weeks = base.length // order
     if weeks < 1:
         raise InvalidInputError("length too short for a single week window")
-    z_weeks = weeks if z_weeks is None else int(z_weeks)
 
     replicate = partial(fgn_replication, base.hurst, base.length, base.sigma, order, cfg.master_seed)
     counts, p_values = run_replications(replicate, reps, jobs)
     rejections = tally_rejections(p_values)
 
     mean_counts = counts.sum(axis=0) / reps
-    if mean_counts.sum() / mean_counts.size < 5.0:
-        warnings.warn(
-            "mean expected pattern frequency below 5; chi-squared p-values are approximate",
-            LowExpectedFrequencyWarning,
-            stacklevel=2,
-        )
     mean_matrix = position_counts(mean_counts, order)
     df = order - 1
 
@@ -336,7 +324,6 @@ def run_ensemble(cfg: EnsembleConfig, jobs: int = 1, z_weeks: int | None = None)
         order=order,
         weeks_per_replication=weeks,
         generator="circulant",
-        z_weeks=z_weeks,
         h1=ChiAggregate(
             averaged=_averaged_chi_outcome(mean_counts, mean_counts.size - 1, {"kind": "pattern-uniformity"}),
             rejections=rejections[0],
@@ -357,8 +344,8 @@ def run_ensemble(cfg: EnsembleConfig, jobs: int = 1, z_weeks: int | None = None)
             )
             for j in range(order)
         ),
-        h4=_family_aggregate(PatternFamily.MONDAY_LARGEST, counts, order, weeks, z_weeks, rejections[-2]),
+        h4=_family_aggregate(PatternFamily.MONDAY_LARGEST, counts, order, weeks, rejections[-2]),
         h5=_family_aggregate(
-            PatternFamily.MONDAY_WORST_FRIDAY_BEST, counts, order, weeks, z_weeks, rejections[-1]
+            PatternFamily.MONDAY_WORST_FRIDAY_BEST, counts, order, weeks, rejections[-1]
         ),
     )

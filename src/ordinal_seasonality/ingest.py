@@ -9,7 +9,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import date
 from functools import partial
 from pathlib import Path
 
@@ -62,11 +62,9 @@ def _has_nul(path: Path) -> bool:
         return any(b"\0" in block for block in iter(partial(raw.read, 1 << 20), b""))
 
 
-def _parse_date(text: str, row: int, date_format: str | None) -> date:
+def _parse_date(text: str, row: int) -> date:
     text = text.strip()
     try:
-        if date_format:
-            return datetime.strptime(text, date_format).date()
         return date.fromisoformat(text)
     except ValueError as exc:
         raise SchemaError(f"row {row}: unparseable date {text!r}") from exc
@@ -151,13 +149,7 @@ def _load_bulk(path: Path, value_column: str, date_column: str | None, delimiter
     return values, dates
 
 
-def _load_rows(
-    path: Path,
-    value_column: str,
-    date_column: str | None,
-    delimiter: str = ",",
-    date_format: str | None = None,
-):
+def _load_rows(path: Path, value_column: str, date_column: str | None, delimiter: str = ","):
     """The reference row loop: values and dates, or an error naming the row."""
     values: list[float] = []
     dates: list[date] = []
@@ -178,7 +170,7 @@ def _load_rows(
                 raise SchemaError(f"row {row_no}: non-finite value {cell!r}")
             values.append(value)
             if dcol is not None:
-                day = _parse_date(row[dcol], row_no, date_format)
+                day = _parse_date(row[dcol], row_no)
                 if dates and day <= dates[-1]:
                     raise OrderError(f"row {row_no}: date {day} is not after {dates[-1]}")
                 dates.append(day)
@@ -194,8 +186,6 @@ def load_csv(
     price_column: str | None = None,
     return_column: str | None = None,
     delimiter: str = ",",
-    date_format: str | None = None,
-    label: str | None = None,
 ) -> ReturnSeries:
     """Load a value column (and optionally a date column) from a CSV file.
 
@@ -203,27 +193,22 @@ def load_csv(
     column; the loader does not convert prices to returns, use
     :func:`log_returns` for that.  A ``.gz`` suffix selects transparent
     gzip decompression, and a UTF-8 byte order mark is skipped.  Dates
-    become a ``datetime64[D]`` array.
+    become a ``datetime64[D]`` array; the label is the file name.
 
     The columns are parsed in bulk.  When that fails, or a value is not
     finite, a date is not exactly ``YYYY-MM-DD``, the dates do not strictly
-    increase, the file holds a NUL character, or ``date_format`` is given,
-    the file is read again row by row, which gives the same result or
-    raises :class:`SchemaError` or :class:`OrderError` naming the 1-based
-    data row.
+    increase, or the file holds a NUL character, the file is read again
+    row by row, which gives the same result or raises :class:`SchemaError`
+    or :class:`OrderError` naming the 1-based data row.
     """
     if (price_column is None) == (return_column is None):
         raise SchemaError("exactly one of price_column and return_column is required")
     value_column = price_column if price_column is not None else return_column
 
     path = Path(path)
-    loaded = None if date_format else _load_bulk(path, value_column, date_column, delimiter)
-    values, dates = loaded or _load_rows(path, value_column, date_column, delimiter, date_format)
-    return ReturnSeries(
-        values=values,
-        dates=dates,
-        label=label if label is not None else path.name,
-    )
+    loaded = _load_bulk(path, value_column, date_column, delimiter)
+    values, dates = loaded or _load_rows(path, value_column, date_column, delimiter)
+    return ReturnSeries(values=values, dates=dates, label=path.name)
 
 
 def log_returns(prices: ReturnSeries) -> ReturnSeries:

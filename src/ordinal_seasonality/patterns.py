@@ -16,7 +16,6 @@ families, ranks and the day-by-position accumulation
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -28,23 +27,6 @@ import numpy as np
 from .errors import InvalidInputError
 
 MAX_ORDER = 10
-
-DEFAULT_TIE_WARN_FRACTION = 0.01
-
-
-class TieRule(Enum):
-    """How equal values inside a window are ranked."""
-
-    EARLIER_LOW = "earlier-low"  # earlier day takes the lower position (stable)
-    LATER_LOW = "later-low"
-
-
-class TieRateWarning(UserWarning):
-    """Raised when the share of tied windows makes pattern counts unreliable."""
-
-
-class LowExpectedFrequencyWarning(UserWarning):
-    """Chi-squared asymptotics are shaky below ~5 expected counts per cell."""
 
 
 @dataclass(frozen=True)
@@ -89,24 +71,20 @@ def _as_window(window) -> np.ndarray:
     return w
 
 
-def _digits_for_rows(rows: np.ndarray, tie_rule: TieRule) -> np.ndarray:
+def _digits_for_rows(rows: np.ndarray) -> np.ndarray:
     """Digit matrix for a (n, D) block of windows, one pattern per row."""
-    if tie_rule is TieRule.EARLIER_LOW:
-        return np.argsort(rows, axis=1, kind="stable")
-    # later index wins ties: sort the reversed row stably, then map back
-    d = rows.shape[1]
-    return d - 1 - np.argsort(rows[:, ::-1], axis=1, kind="stable")
+    return np.argsort(rows, axis=1, kind="stable")
 
 
-def encode_window(window, tie_rule: TieRule = TieRule.EARLIER_LOW) -> OrdinalPattern:
+def encode_window(window) -> OrdinalPattern:
     """Encode one window of returns into its ordinal pattern.
 
     ``digits[j]`` is the index (day offset) of the j-th smallest value.
-    Equal values are ranked by ``tie_rule``; use :func:`window_has_ties`
-    to detect whether the rule was actually exercised.
+    Of equal values the earlier day ranks lower; use
+    :func:`window_has_ties` to detect whether that rule was exercised.
     """
     w = _as_window(window)
-    digits = _digits_for_rows(w[None, :], tie_rule)[0]
+    digits = _digits_for_rows(w[None, :])[0]
     return OrdinalPattern(tuple(int(x) for x in digits))
 
 
@@ -261,20 +239,13 @@ class PatternDistribution:
         idx = np.asarray(sorted(ids), dtype=np.int64) - 1
         return int(self.counts[idx].sum())
 
-    def family_frequency(self, ids) -> float:
-        if self.windows == 0:
-            raise InvalidInputError("distribution has no windows")
-        return self.family_count(ids) / float(self.windows)
 
+def count_windows(windows: np.ndarray, label: str = "", dropped_points: int = 0) -> PatternDistribution:
+    """Count patterns over an explicit (n, D) block of windows.
 
-def count_windows(
-    windows: np.ndarray,
-    tie_rule: TieRule = TieRule.EARLIER_LOW,
-    tie_warn_fraction: float = DEFAULT_TIE_WARN_FRACTION,
-    label: str = "",
-    dropped_points: int = 0,
-) -> PatternDistribution:
-    """Count patterns over an explicit (n, D) block of windows."""
+    Of equal values the earlier day ranks lower; the windows holding any
+    tie are counted in ``ties_observed``.
+    """
     rows = np.asarray(windows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] < 1:
         raise InvalidInputError("windows must be a non-empty (n, D) array")
@@ -282,38 +253,23 @@ def count_windows(
     if not np.all(np.isfinite(rows)):
         raise InvalidInputError("windows contain non-finite values")
 
-    digit_rows = _digits_for_rows(rows, tie_rule)
+    digit_rows = _digits_for_rows(rows)
     ids = _ranks_for_digit_rows(digit_rows)
     counts = np.bincount(ids - 1, minlength=math.factorial(order)).astype(np.int64)
 
     sorted_rows = np.sort(rows, axis=1)
     ties = int((np.diff(sorted_rows, axis=1) == 0).any(axis=1).sum())
-
-    n = rows.shape[0]
-    if ties and tie_warn_fraction is not None and ties > tie_warn_fraction * n:
-        warnings.warn(
-            f"{ties} of {n} windows contain tied values; "
-            "ordinal statistics assume continuously distributed returns",
-            TieRateWarning,
-            stacklevel=2,
-        )
     return PatternDistribution(
         order=order,
         counts=counts,
-        windows=n,
+        windows=rows.shape[0],
         ties_observed=ties,
         dropped_points=dropped_points,
         label=label,
     )
 
 
-def count_patterns(
-    series,
-    order: int = 5,
-    stride: int | None = None,
-    tie_rule: TieRule = TieRule.EARLIER_LOW,
-    tie_warn_fraction: float = DEFAULT_TIE_WARN_FRACTION,
-) -> PatternDistribution:
+def count_patterns(series, order: int = 5, stride: int | None = None) -> PatternDistribution:
     """Count ordinal patterns over non-overlapping (or strided) windows.
 
     ``series`` may be a plain array or anything with a ``values`` attribute.
@@ -338,10 +294,4 @@ def count_patterns(
     starts = np.arange(n_windows) * stride
     rows = values[starts[:, None] + np.arange(order)[None, :]]
     dropped = values.size - (starts[-1] + order) if n_windows else values.size
-    return count_windows(
-        rows,
-        tie_rule=tie_rule,
-        tie_warn_fraction=tie_warn_fraction,
-        label=label,
-        dropped_points=int(dropped),
-    )
+    return count_windows(rows, label=label, dropped_points=int(dropped))

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateFrequencyError, InvalidInputError
 from .patterns import (
-    LowExpectedFrequencyWarning,
     PatternDistribution,
     PatternFamily,
     pattern_family,
@@ -174,13 +172,6 @@ def _chi2_outcome(observed, df: int, observed_payload: dict) -> TestOutcome:
     obs = np.asarray(observed, dtype=float)
     q = chi2_statistic(obs)
     expected = obs.sum() / obs.size
-    if expected < EXPECTED_FREQUENCY_FLOOR:
-        warnings.warn(
-            f"expected frequency {expected:.2f} per cell is below "
-            f"{EXPECTED_FREQUENCY_FLOOR:g}; chi-squared p-values are approximate",
-            LowExpectedFrequencyWarning,
-            stacklevel=3,
-        )
     payload = dict(observed_payload)
     payload["expected_frequency"] = float(expected)
     payload["low_expected_frequency"] = bool(expected < EXPECTED_FREQUENCY_FLOOR)

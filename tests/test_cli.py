@@ -14,15 +14,21 @@ from ordinal_seasonality.fixtures import nyse_fixture_distribution, series_from_
 
 # the child imports the package this test imported, installed or not
 PACKAGE_ROOT = str(Path(ordinal_seasonality.__file__).resolve().parent.parent)
+GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 
-def run_cli(*args, **kwargs):
+def run_cli(*args, log_level=None, **kwargs):
+    """Run the CLI in a child process; ``log_level`` sets ORDINAL_SEASONALITY_LOG."""
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("ORDINAL_SEASONALITY_LOG", None)
+    if log_level is not None:
+        env["ORDINAL_SEASONALITY_LOG"] = log_level
     return subprocess.run(
         [sys.executable, "-m", "ordinal_seasonality", *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=env,
         **kwargs,
     )
 
@@ -257,6 +263,7 @@ def test_shuffle_reports_aggregate_and_rows(returns_csv):
         "--reps", "8", "--seed", "5",
     )
     assert out.returncode == 0
+    assert out.stderr == ""
     doc = json.loads(out.stdout)
     assert doc["config"]["replications"] == 8
     assert len(doc["per_replication"]) == 8
@@ -305,6 +312,62 @@ def test_hurst_command(fixture_csv):
     doc = json.loads(out.stdout)
     assert 0.0 < doc["estimate"]["h"] < 1.0
     assert doc["estimate"]["method"] == "rs"
+
+
+# ---------------------------------------------------------------------------
+# diagnostic log: decisions the report records, logged once at INFO
+# ---------------------------------------------------------------------------
+
+
+def test_analyze_logs_low_expected_frequency_only_at_info():
+    args = ("analyze", "--input", str(GOLDENS / "returns2k.csv.gz"), "--column", "ret", "--d", "6")
+    quiet = run_cli(*args)
+    assert quiet.returncode == 0
+    assert quiet.stderr == ""
+
+    verbose = run_cli(*args, log_level="INFO")
+    assert verbose.returncode == 0
+    assert verbose.stdout == quiet.stdout
+    assert verbose.stderr.splitlines() == [
+        "INFO:ordinal_seasonality.cli:returns2k.csv.gz: "
+        "1 of 13 chi-squared tests expect fewer than 5 counts per cell"
+    ]
+
+
+def test_analyze_logs_tied_windows(tmp_path):
+    path = tmp_path / "ties.csv"
+    week = "1.0\n1.0\n2.0\n3.0\n4.0\n"  # Monday and Tuesday tie
+    path.write_text("ret\n" + week * 10, encoding="utf-8")
+    quiet = run_cli("analyze", "--input", str(path), "--column", "ret")
+    assert quiet.returncode == 0 and quiet.stderr == ""
+    assert json.loads(quiet.stdout)["sections"][0]["ties"]["windows_with_ties"] == 10
+
+    verbose = run_cli("analyze", "--input", str(path), "--column", "ret", log_level="INFO")
+    assert verbose.returncode == 0
+    assert (
+        "ties.csv: 10 of 10 windows hold tied values; the earlier day ranks lower"
+        in verbose.stderr
+    )
+
+
+def test_simulate_logs_low_mean_expected_frequency():
+    args = ("simulate", "--hurst", "0.5", "--length", "1000", "--reps", "2", "--seed", "4")
+    quiet = run_cli(*args)
+    assert quiet.returncode == 0 and quiet.stderr == ""
+    frequency = json.loads(quiet.stdout)["rows"][0]["h1"]["averaged"]["mean_expected_frequency"]
+    assert frequency == pytest.approx(200 / 120)
+
+    verbose = run_cli(*args, log_level="INFO")
+    assert verbose.stderr.splitlines() == [
+        "INFO:ordinal_seasonality.cli:H=0.5: mean expected pattern frequency 1.67 is below 5"
+    ]
+
+
+def test_unknown_log_level_falls_back_to_warning():
+    # BASIC_FORMAT is a logging attribute but no level
+    out = run_cli("patterns", "--d", "3", log_level="basic_format")
+    assert out.returncode == 0, out.stderr
+    assert len(out.stdout.splitlines()) == 6
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,6 @@ def _small_ensemble(hurst, reps=12, length=1500, seed=77):
     )
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_ensemble_deterministic_across_jobs():
     cfg = _small_ensemble(0.6)
     serial = run_ensemble(cfg, jobs=1)
@@ -202,7 +201,6 @@ def test_ensemble_deterministic_across_jobs():
     assert serial == parallel
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_ensemble_shape_and_payload():
     report = run_ensemble(_small_ensemble(0.5))
     assert report.weeks_per_replication == 300

@@ -10,7 +10,6 @@ from ordinal_seasonality.errors import InvalidInputError
 from ordinal_seasonality.patterns import (
     OrdinalPattern,
     PatternFamily,
-    TieRule,
     _ranks_for_digit_rows,
     all_patterns,
     count_patterns,
@@ -44,10 +43,6 @@ def test_encode_monotone_windows():
 
 def test_encode_tie_earlier_index_ranks_lower():
     assert encode_window((1.0, 1.0, 2.0, 3.0, 4.0)).digits == (0, 1, 2, 3, 4)
-
-
-def test_encode_tie_later_low_rule():
-    assert encode_window((1.0, 1.0, 2.0), tie_rule=TieRule.LATER_LOW).digits == (1, 0, 2)
 
 
 def test_window_has_ties():
@@ -201,23 +196,17 @@ def test_count_requires_full_window():
 
 def test_count_reports_ties():
     values = np.array([1.0, 1.0, 2.0, 3.0, 4.0, 0.0, 1.0, 2.0, 3.0, 4.0])
-    with pytest.warns(UserWarning):
-        dist = count_patterns(values, order=5, stride=5)
+    dist = count_patterns(values, order=5, stride=5)
     assert dist.ties_observed == 1
     assert dist.windows == 2
 
 
 @settings(max_examples=50, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.sampled_from([TieRule.EARLIER_LOW, TieRule.LATER_LOW]),
-)
-def test_count_conservation(seed, tie_rule):
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_count_conservation(seed):
     rng = np.random.default_rng(seed)
     values = rng.integers(0, 4, size=103).astype(float)  # deliberately tie-heavy
-    dist = count_windows(
-        values[: 100].reshape(20, 5), tie_rule=tie_rule, tie_warn_fraction=None
-    )
+    dist = count_windows(values[: 100].reshape(20, 5))
     assert dist.counts.sum() == dist.windows == 20
 
 

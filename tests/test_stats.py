@@ -134,7 +134,6 @@ def test_h1_small_bump_not_rejected():
     assert not outcome.reject_10
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_h2_identity_rows():
     outcomes = h2_test(position_matrix(_identity_only_dist(3)))
     for outcome in outcomes:
@@ -142,7 +141,6 @@ def test_h2_identity_rows():
         assert outcome.df == 4
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_h3_identity_columns():
     outcomes = h3_test(position_matrix(_identity_only_dist(3)))
     for outcome in outcomes:
@@ -150,11 +148,10 @@ def test_h3_identity_columns():
         assert outcome.df == 4
 
 
-def test_h2_warns_below_expected_frequency_floor():
-    from ordinal_seasonality.patterns import LowExpectedFrequencyWarning
-
-    with pytest.warns(LowExpectedFrequencyWarning):
-        h2_test(position_matrix(_identity_only_dist(3)))
+def test_h2_flags_below_expected_frequency_floor():
+    outcomes = h2_test(position_matrix(_identity_only_dist(3)))
+    assert len(outcomes) == 5
+    assert all(outcome.observed["low_expected_frequency"] for outcome in outcomes)
 
 
 def test_outcome_decision_monotonicity_property():
