@@ -53,6 +53,10 @@ CASES = {
     "simulate.json": [
         "simulate", "--hurst", "0.3,0.7", "--length", "1000", "--reps", "6", "--seed", "11",
     ],
+    # near-zero embedding eigenvalues (H near 0 and 1) at an odd length
+    "simulate-extreme.json": [
+        "simulate", "--hurst", "0.01,0.5,0.999", "--length", "4097", "--reps", "4", "--seed", "2",
+    ],
     "shuffle.json": [
         "shuffle", "--input", RETURNS, "--column", "ret", "--reps", "8", "--seed", "5",
     ],
@@ -61,7 +65,9 @@ CASES = {
 }
 
 RUNS = [(name, []) for name in CASES] + [
-    (name, ["--jobs", jobs]) for name in ("simulate.json", "shuffle.json") for jobs in ("1", "2")
+    (name, ["--jobs", jobs])
+    for name in ("simulate.json", "simulate-extreme.json", "shuffle.json")
+    for jobs in ("1", "2")
 ]
 
 
