@@ -8,6 +8,9 @@ the fGn autocovariance
 exactly, so covariance properties are testable rather than approximate.
 The embedding's eigenvalues are non-negative for every H in (0, 1), and
 gamma is evaluated without cancellation, so no input needs a fallback.
+Of the 2n-entry Hermitian spectrum a draw fills only the n+1 non-redundant
+entries, from 2n standard normals in two blocks of n, and takes one
+``np.fft.hfft``; each (length, H) caches its per-frequency scale.
 
 One engine, :func:`run_replications`, repeats the five seasonality tests
 over seeded replications, serially or on a process pool.  It drives both
@@ -98,33 +101,36 @@ def fgn_autocovariance(hurst: float, lags, sigma: float = 1.0) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _circulant_sqrt_eigenvalues(length: int, hurst: float) -> np.ndarray:
-    """sqrt of the embedding eigenvalues for unit sigma, as a read-only array.
+def _circulant_scale(length: int, hurst: float) -> np.ndarray:
+    """Per-frequency scale of the draw for unit sigma: a read-only (n+1,) array.
 
-    The exact eigenvalues are non-negative for every H in (0, 1); clipping
-    only removes FFT rounding around zero.  Cached because every
-    replication of an ensemble shares them.
+    ``sqrt(eig_k / 2m)`` for 0 < k < n, where one complex normal carries
+    frequency k, and ``sqrt(eig_k / m)`` at k = 0 and k = n, the two real
+    frequencies, each carrying one normal.  The exact eigenvalues are
+    non-negative for every H in (0, 1); clipping only removes FFT rounding
+    around zero.  Cached because every replication of an ensemble shares it.
     """
-    gamma = fgn_autocovariance(hurst, np.arange(length + 1))
+    n, m = length, 2 * length
+    gamma = fgn_autocovariance(hurst, np.arange(n + 1))
     row = np.concatenate([gamma, gamma[-2:0:-1]])  # length 2n, gamma(n) at position n
-    sqrt_eig = np.sqrt(np.clip(np.fft.fft(row).real, 0.0, None))
-    sqrt_eig.flags.writeable = False
-    return sqrt_eig
+    sqrt_eig = np.sqrt(np.clip(np.fft.fft(row).real, 0.0, None))[: n + 1]
+    scale = sqrt_eig / math.sqrt(2 * m)
+    scale[[0, n]] = sqrt_eig[[0, n]] / math.sqrt(m)
+    scale.flags.writeable = False
+    return scale
 
 
 def _fgn_circulant(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
-    sqrt_eig = _circulant_sqrt_eigenvalues(length, hurst)
-    n, m = length, 2 * length
+    n = length
     g1 = rng.standard_normal(n)
     g2 = rng.standard_normal(n)
-    w = np.zeros(m, dtype=complex)
-    w[0] = sqrt_eig[0] / math.sqrt(m) * g1[0]
-    k = np.arange(1, n)
-    scale = sqrt_eig[k] / math.sqrt(2 * m)
-    w[k] = scale * (g1[k] + 1j * g2[k])
-    w[n] = sqrt_eig[n] / math.sqrt(m) * g2[0]
-    w[m - k] = scale * (g1[k] - 1j * g2[k])
-    return np.fft.fft(w)[:n].real
+    w = np.empty(n + 1, dtype=complex)
+    w.real[:n] = g1
+    w.real[n] = g2[0]
+    w.imag[1:n] = g2[1:]
+    w.imag[0] = w.imag[n] = 0.0
+    w *= _circulant_scale(n, hurst)
+    return np.fft.hfft(w, 2 * n)[:n]
 
 
 def fgn_generate(cfg: FgnConfig) -> ReturnSeries:

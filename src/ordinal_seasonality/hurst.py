@@ -135,7 +135,9 @@ def estimate_hurst(
     if not np.all(np.isfinite(values)):
         raise InvalidInputError("series contains non-finite values")
     if np.ptp(values) == 0:
-        raise DegenerateSeriesError("constant series has no rescaled range")
+        raise DegenerateSeriesError(
+            "constant series has no Hurst exponent: its range and fluctuation are zero"
+        )
 
     sizes = window_grid(min_window, max_window)
     profile = np.cumsum(values - values.mean()) if method is HurstMethod.DFA else None

@@ -257,7 +257,7 @@ def count_windows(windows: np.ndarray, label: str = "", dropped_points: int = 0)
     ids = _ranks_for_digit_rows(digit_rows)
     counts = np.bincount(ids - 1, minlength=math.factorial(order)).astype(np.int64)
 
-    sorted_rows = np.sort(rows, axis=1)
+    sorted_rows = np.take_along_axis(rows, digit_rows, axis=1)
     ties = int((np.diff(sorted_rows, axis=1) == 0).any(axis=1).sum())
     return PatternDistribution(
         order=order,
@@ -290,8 +290,6 @@ def count_patterns(series, order: int = 5, stride: int | None = None) -> Pattern
     if stride < 1:
         raise InvalidInputError("stride must be >= 1")
 
-    n_windows = (values.size - order) // stride + 1
-    starts = np.arange(n_windows) * stride
-    rows = values[starts[:, None] + np.arange(order)[None, :]]
-    dropped = values.size - (starts[-1] + order) if n_windows else values.size
-    return count_windows(rows, label=label, dropped_points=int(dropped))
+    rows = np.lib.stride_tricks.sliding_window_view(values, order)[::stride]
+    dropped = values.size - ((rows.shape[0] - 1) * stride + order)
+    return count_windows(rows, label=label, dropped_points=dropped)

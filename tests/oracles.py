@@ -2,8 +2,10 @@
 
 Everything here is deliberately written from scratch (adaptive Simpson
 quadrature over hand-coded densities, brute-force enumeration, 60-digit
-decimal arithmetic, the Hosking recursion) so that the library code paths
-being tested share nothing with the values they are checked against.
+decimal arithmetic, the Hosking recursion, the full-spectrum circulant
+draw) so that the library code paths being tested share nothing with the
+values they are checked against.  The one exception is named where it
+occurs.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import math
 from itertools import permutations
 
 import numpy as np
+
+from ordinal_seasonality.fgn import fgn_autocovariance
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 50) -> float:
@@ -162,3 +166,28 @@ def fgn_hosking(length: int, hurst: float, rng: np.random.Generator) -> np.ndarr
         x[t] = mean + math.sqrt(variance) * noise[t]
         phi = phi_new
     return x
+
+
+def fgn_circulant_full_spectrum(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
+    """Unit-sigma fGn by circulant embedding over the full 2n Hermitian spectrum.
+
+    Builds all 2n spectral entries from two blocks of n standard normals
+    and takes one complex FFT.  The autocovariance is the library's
+    ``fgn_autocovariance``, checked on its own against the decimal oracle:
+    the naive closed form loses too many digits at large lags for a 1e-12
+    comparison.
+    """
+    n, m = length, 2 * length
+    gamma = fgn_autocovariance(hurst, np.arange(n + 1))
+    row = np.concatenate([gamma, gamma[-2:0:-1]])  # circulant first row, gamma(n) at position n
+    sqrt_eig = np.sqrt(np.clip(np.fft.fft(row).real, 0.0, None))
+    g1 = rng.standard_normal(n)
+    g2 = rng.standard_normal(n)
+    w = np.zeros(m, dtype=complex)
+    w[0] = sqrt_eig[0] / math.sqrt(m) * g1[0]
+    k = np.arange(1, n)
+    scale = sqrt_eig[k] / math.sqrt(2 * m)
+    w[k] = scale * (g1[k] + 1j * g2[k])
+    w[n] = sqrt_eig[n] / math.sqrt(m) * g2[0]
+    w[m - k] = scale * (g1[k] - 1j * g2[k])
+    return np.fft.fft(w)[:n].real

@@ -314,6 +314,15 @@ def test_hurst_command(fixture_csv):
     assert doc["estimate"]["method"] == "rs"
 
 
+@pytest.mark.parametrize("method", ["rs", "dfa"])
+def test_hurst_on_constant_column_exits_2(method, tmp_path, capsys):
+    path = tmp_path / "flat.csv"
+    path.write_text("ret\n" + "0.01\n" * 300, encoding="utf-8")
+    assert cli.main(["hurst", "--input", str(path), "--column", "ret", "--method", method]) == 2
+    message = "constant series has no Hurst exponent: its range and fluctuation are zero"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # diagnostic log: decisions the report records, logged once at INFO
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from ordinal_seasonality.fgn import (
     replication_rng,
     run_ensemble,
 )
-from oracles import fgn_autocovariance_decimal, fgn_hosking
+from oracles import fgn_autocovariance_decimal, fgn_circulant_full_spectrum, fgn_hosking
 
 
 def _sample_autocov(x: np.ndarray, lag: int) -> float:
@@ -61,6 +61,24 @@ def test_near_unit_hurst_at_a_million_uses_circulant():
     assert series.values.shape == (1_000_000,)
     assert np.isfinite(series.values).all()
     assert series.label == "fgn(H=0.99, n=1000000, circulant)"
+
+
+@pytest.mark.parametrize("length", [2, 3, 10, 1000, 4097, 10000])
+@pytest.mark.parametrize("hurst", [0.01, 0.1, 0.5, 0.9, 0.99, 0.999])
+def test_draw_matches_full_spectrum_oracle(hurst, length):
+    for seed in range(3):
+        got = _fgn_circulant(length, hurst, np.random.default_rng(seed))
+        expected = fgn_circulant_full_spectrum(length, hurst, np.random.default_rng(seed))
+        assert np.abs(got - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("length", [2, 3, 4097])
+def test_draw_consumes_two_blocks_of_n_normals(length):
+    rng, reference = np.random.default_rng(6), np.random.default_rng(6)
+    _fgn_circulant(length, 0.7, rng)
+    reference.standard_normal(length)
+    reference.standard_normal(length)
+    assert rng.standard_normal() == reference.standard_normal()
 
 
 def test_config_validation():

@@ -221,6 +221,23 @@ def test_vectorized_counting_matches_scalar_path():
     assert np.array_equal(dist.counts, expected)
 
 
+@pytest.mark.parametrize("order", [2, 3, 5, 7])
+def test_strided_counting_of_tied_data_matches_a_window_loop(order):
+    values = np.random.default_rng(order).integers(0, 3, size=103).astype(float)
+    for stride in range(1, order + 2):
+        dist = count_patterns(values, order=order, stride=stride)
+        starts = range(0, values.size - order + 1, stride)
+        expected = np.zeros(math.factorial(order), dtype=np.int64)
+        ties = 0
+        for start in starts:
+            window = values[start : start + order]
+            expected[rank_pattern(encode_window(window)) - 1] += 1
+            ties += window_has_ties(window)
+        assert np.array_equal(dist.counts, expected)
+        assert dist.ties_observed == ties > 0
+        assert dist.dropped_points == values.size - (starts[-1] + order)
+
+
 def test_uniformity_on_iid_noise():
     rng = np.random.default_rng(20240809)
     dist = count_patterns(rng.standard_normal(600_000), order=5, stride=5)
