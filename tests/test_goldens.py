@@ -13,6 +13,9 @@ The inputs under ``tests/goldens`` are fixed data files:
   Windows line endings) from 2019-07-04 to 2020-08-31, from
   ``default_rng(31)``, with holidays on 2019-12-25 and 2020-01-01; both
   edge weeks are partial.
+- ``ties.csv.gz``: 2,000 integer returns in -2..2 from
+  ``numpy.random.default_rng(7).integers(-2, 3, size=2000)``, so most
+  windows hold tied values.
 
 A report that differs fails the test, which prints the command that
 regenerates the golden.  Regenerate only for an intended change of
@@ -34,6 +37,7 @@ NYSE = f"{GOLDENS}/nyse.csv.gz"
 RETURNS = f"{GOLDENS}/returns2k.csv.gz"
 DATED = f"{GOLDENS}/dated.csv"
 PRICES = f"{GOLDENS}/prices.csv.gz"
+TIES = f"{GOLDENS}/ties.csv.gz"
 
 # golden file -> CLI arguments; report paths are relative to the repository root
 CASES = {
@@ -50,6 +54,10 @@ CASES = {
         "--weeks", "calendar", "--subperiods", "150,150",
     ],
     "analyze-d6.json": ["analyze", "--input", RETURNS, "--column", "ret", "--d", "6"],
+    # overlapping windows over tie-heavy data
+    "analyze-ties.json": [
+        "analyze", "--input", TIES, "--column", "ret", "--d", "4", "--stride", "1",
+    ],
     "simulate.json": [
         "simulate", "--hurst", "0.3,0.7", "--length", "1000", "--reps", "6", "--seed", "11",
     ],
@@ -60,13 +68,16 @@ CASES = {
     "shuffle.json": [
         "shuffle", "--input", RETURNS, "--column", "ret", "--reps", "8", "--seed", "5",
     ],
+    "shuffle-ties.json": [
+        "shuffle", "--input", TIES, "--column", "ret", "--d", "3", "--reps", "6", "--seed", "5",
+    ],
     "patterns-d4.csv": ["patterns", "--d", "4"],
     "patterns-family.csv": ["patterns", "--d", "5", "--family", "monday-worst-friday-best"],
 }
 
 RUNS = [(name, []) for name in CASES] + [
     (name, ["--jobs", jobs])
-    for name in ("simulate.json", "simulate-extreme.json", "shuffle.json")
+    for name in ("simulate.json", "simulate-extreme.json", "shuffle.json", "shuffle-ties.json")
     for jobs in ("1", "2")
 ]
 
