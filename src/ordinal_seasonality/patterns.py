@@ -7,10 +7,12 @@ Thursday, and Wednesday the highest encodes as (0, 4, 1, 3, 2).  Pattern
 ids are the 1-based lexicographic rank of the digit string, so 01234 is
 pattern 1 and 43210 is pattern D!.
 
-Every per-pattern computation reads one cached table per order: the digits
-of all D! patterns in id order (:func:`pattern_table`).  Pattern strings,
-families, ranks and the day-by-position accumulation
-(:func:`position_counts`) are array operations on it.
+Counting sorts nothing: each window's id follows from comparing every pair
+of its days, one day against all earlier days at a time, over all windows
+at once (:func:`count_windows`).  Every per-pattern computation reads one
+cached table per order: the digits of all D! patterns in id order
+(:func:`pattern_table`).  Pattern strings, families and the day-by-position
+accumulation (:func:`position_counts`) are array operations on it.
 """
 
 from __future__ import annotations
@@ -71,11 +73,6 @@ def _as_window(window) -> np.ndarray:
     return w
 
 
-def _digits_for_rows(rows: np.ndarray) -> np.ndarray:
-    """Digit matrix for a (n, D) block of windows, one pattern per row."""
-    return np.argsort(rows, axis=1, kind="stable")
-
-
 def encode_window(window) -> OrdinalPattern:
     """Encode one window of returns into its ordinal pattern.
 
@@ -84,7 +81,7 @@ def encode_window(window) -> OrdinalPattern:
     :func:`window_has_ties` to detect whether that rule was exercised.
     """
     w = _as_window(window)
-    digits = _digits_for_rows(w[None, :])[0]
+    digits = np.argsort(w, kind="stable")
     return OrdinalPattern(tuple(int(x) for x in digits))
 
 
@@ -96,7 +93,14 @@ def window_has_ties(window) -> bool:
 
 def rank_pattern(pattern: OrdinalPattern) -> int:
     """1-based lexicographic rank of the pattern's digit string."""
-    return int(_ranks_for_digit_rows(np.array([pattern.digits]))[0])
+    order = pattern.order
+    available = list(range(order))
+    rank = 0
+    for j, digit in enumerate(pattern.digits):
+        q = available.index(digit)
+        rank += q * math.factorial(order - 1 - j)
+        available.pop(q)
+    return rank + 1
 
 
 def unrank_pattern(pattern_id: int, order: int) -> OrdinalPattern:
@@ -162,16 +166,6 @@ def position_counts(counts, order: int) -> np.ndarray:
     return sums.reshape(order, order)
 
 
-def _ranks_for_digit_rows(digit_rows: np.ndarray) -> np.ndarray:
-    """Vectorized Lehmer rank (1-based) for a (n, D) matrix of digit rows."""
-    n, d = digit_rows.shape
-    code = np.zeros(n, dtype=np.int64)
-    for j in range(d - 1):
-        smaller_after = (digit_rows[:, j + 1 :] < digit_rows[:, j : j + 1]).sum(axis=1)
-        code += smaller_after.astype(np.int64) * math.factorial(d - 1 - j)
-    return code + 1
-
-
 class PatternFamily(Enum):
     """Named pattern subsets expressing one seasonal feature."""
 
@@ -179,12 +173,14 @@ class PatternFamily(Enum):
     MONDAY_WORST_FRIDAY_BEST = "monday-worst-friday-best"
 
 
+@lru_cache(maxsize=None)
 def pattern_family(kind: PatternFamily, order: int = 5) -> frozenset[int]:
     """Pattern ids in the family, for windows starting on Monday (day 0).
 
     ``MONDAY_LARGEST`` selects patterns whose last digit is 0 (Monday holds
     the best return of the week), (D-1)! ids.  ``MONDAY_WORST_FRIDAY_BEST``
-    selects first digit 0 and last digit D-1, (D-2)! ids.
+    selects first digit 0 and last digit D-1, (D-2)! ids.  Built once per
+    (kind, order); every caller shares the frozenset.
     """
     order = _validate_order(order)
     if order < 3:
@@ -240,6 +236,44 @@ class PatternDistribution:
         return int(self.counts[idx].sum())
 
 
+def _pattern_codes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """0-based pattern id and tie flag of each window of a finite (n, D) block.
+
+    ``rows`` may be a strided view.  Day ``a`` sits at position ``rank[a]``
+    of its window's digit string, and the Lehmer digit there is the number
+    of earlier days holding a strictly larger value, ``larger_before[a]``:
+    the id is the sum over days of ``larger_before[a] * (D - 1 - rank[a])!``.
+    Strict comparison is the tie rule, since a tied earlier day then ranks
+    lower.
+    """
+    n, order = rows.shape
+    days = np.ascontiguousarray(rows.T)  # day-major, so each comparison reads contiguous rows
+    rank = np.zeros((order, n), dtype=np.int8)
+    larger_before = np.zeros((order, n), dtype=np.int8)
+    tied = np.zeros(n, dtype=bool)
+    for b in range(1, order):
+        above = days[:b] > days[b]
+        larger_before[b] = above.sum(axis=0, dtype=np.int8)
+        rank[:b] += above
+        rank[b] += b - larger_before[b]
+        tied |= (days[:b] == days[b]).any(axis=0)
+    weight = np.array([math.factorial(order - 1 - r) for r in range(order)])
+    return (larger_before * weight[rank]).sum(axis=0), tied
+
+
+def _count_rows(rows: np.ndarray, label: str, dropped_points: int) -> PatternDistribution:
+    """Distribution of the patterns of a finite (n, D) block of windows."""
+    codes, tied = _pattern_codes(rows)
+    return PatternDistribution(
+        order=rows.shape[1],
+        counts=np.bincount(codes, minlength=math.factorial(rows.shape[1])),
+        windows=rows.shape[0],
+        ties_observed=int(np.count_nonzero(tied)),
+        dropped_points=dropped_points,
+        label=label,
+    )
+
+
 def count_windows(windows: np.ndarray, label: str = "", dropped_points: int = 0) -> PatternDistribution:
     """Count patterns over an explicit (n, D) block of windows.
 
@@ -249,24 +283,10 @@ def count_windows(windows: np.ndarray, label: str = "", dropped_points: int = 0)
     rows = np.asarray(windows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] < 1:
         raise InvalidInputError("windows must be a non-empty (n, D) array")
-    order = _validate_order(rows.shape[1])
+    _validate_order(rows.shape[1])
     if not np.all(np.isfinite(rows)):
         raise InvalidInputError("windows contain non-finite values")
-
-    digit_rows = _digits_for_rows(rows)
-    ids = _ranks_for_digit_rows(digit_rows)
-    counts = np.bincount(ids - 1, minlength=math.factorial(order)).astype(np.int64)
-
-    sorted_rows = np.take_along_axis(rows, digit_rows, axis=1)
-    ties = int((np.diff(sorted_rows, axis=1) == 0).any(axis=1).sum())
-    return PatternDistribution(
-        order=order,
-        counts=counts,
-        windows=rows.shape[0],
-        ties_observed=ties,
-        dropped_points=dropped_points,
-        label=label,
-    )
+    return _count_rows(rows, label, dropped_points)
 
 
 def count_patterns(series, order: int = 5, stride: int | None = None) -> PatternDistribution:
@@ -292,4 +312,4 @@ def count_patterns(series, order: int = 5, stride: int | None = None) -> Pattern
 
     rows = np.lib.stride_tricks.sliding_window_view(values, order)[::stride]
     dropped = values.size - ((rows.shape[0] - 1) * stride + order)
-    return count_windows(rows, label=label, dropped_points=dropped)
+    return _count_rows(rows, label, dropped)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import decimal
 import math
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -93,9 +94,22 @@ def normal_sf_quadrature(z: float, tol: float = 1e-10) -> float:
     return _piecewise_simpson(normal_pdf, points, tol)
 
 
+@lru_cache(maxsize=None)
+def _lexicographic_ids(order: int) -> dict[tuple[int, ...], int]:
+    return {perm: k for k, perm in enumerate(sorted(permutations(range(order))), start=1)}
+
+
 def lexicographic_rank(digits, order: int) -> int:
-    """1-based rank of a permutation by exhaustive enumeration."""
-    return sorted(permutations(range(order))).index(tuple(digits)) + 1
+    """1-based rank of a permutation by exhaustive enumeration.
+
+    Up to order 8 all permutations are sorted once per order and looked
+    up.  Above that a table would take hundreds of MB, so each call counts
+    afresh the order! permutations and those that sort before ``digits``.
+    """
+    digits = tuple(digits)
+    if order <= 8:
+        return _lexicographic_ids(order)[digits]
+    return 1 + sum(perm < digits for perm in permutations(range(order)))
 
 
 def family_ids_by_enumeration(order: int, predicate) -> set[int]:

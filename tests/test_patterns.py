@@ -10,7 +10,7 @@ from ordinal_seasonality.errors import InvalidInputError
 from ordinal_seasonality.patterns import (
     OrdinalPattern,
     PatternFamily,
-    _ranks_for_digit_rows,
+    _pattern_codes,
     all_patterns,
     count_patterns,
     count_windows,
@@ -134,7 +134,8 @@ def test_table_rows_are_sorted_permutations_with_consecutive_ranks(order):
     table = pattern_table(order)
     assert table.dtype == np.int8 and not table.flags.writeable
     assert [tuple(row) for row in table.tolist()] == sorted(permutations(range(order)))
-    assert np.array_equal(_ranks_for_digit_rows(table), np.arange(1, math.factorial(order) + 1))
+    ranks = [rank_pattern(OrdinalPattern(tuple(row))) for row in table.tolist()]
+    assert ranks == list(range(1, math.factorial(order) + 1))
     assert pattern_strings(order) == ["".join(map(str, row)) for row in table.tolist()]
 
 
@@ -194,6 +195,16 @@ def test_count_requires_full_window():
         count_patterns(np.arange(4, dtype=float), order=5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_counting_rejects_non_finite_values(bad):
+    values = np.arange(10, dtype=float)
+    values[7] = bad
+    with pytest.raises(InvalidInputError, match="series contains non-finite values"):
+        count_patterns(values, order=5)
+    with pytest.raises(InvalidInputError, match="windows contain non-finite values"):
+        count_windows(values.reshape(2, 5))
+
+
 def test_count_reports_ties():
     values = np.array([1.0, 1.0, 2.0, 3.0, 4.0, 0.0, 1.0, 2.0, 3.0, 4.0])
     dist = count_patterns(values, order=5, stride=5)
@@ -236,6 +247,50 @@ def test_strided_counting_of_tied_data_matches_a_window_loop(order):
         assert np.array_equal(dist.counts, expected)
         assert dist.ties_observed == ties > 0
         assert dist.dropped_points == values.size - (starts[-1] + order)
+
+
+def _oracle_ids_and_ties(windows):
+    """Stable argsort and enumeration rank per window, ties from ``window_has_ties``."""
+    order = windows.shape[1]
+    digits = np.argsort(windows, axis=1, kind="stable").tolist()
+    ids = [lexicographic_rank(row, order) for row in digits]
+    return ids, [window_has_ties(w) for w in windows]
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_kernel_ids_of_every_permutation_used_as_values(order):
+    windows = np.array(list(permutations(range(order))), dtype=float)
+    codes, tied = _pattern_codes(windows)
+    digits = np.argsort(windows, axis=1, kind="stable").tolist()
+    assert (codes + 1).tolist() == [lexicographic_rank(row, order) for row in digits]
+    assert not tied.any()
+    assert np.array_equal(count_windows(windows).counts, np.ones(math.factorial(order)))
+
+
+@pytest.mark.parametrize("order", range(2, 11))
+def test_kernel_matches_oracle_on_tied_windows(order):
+    # the oracle counts permutations afresh per window above order 8
+    n = {9: 6, 10: 2}.get(order, 300)
+    rng = np.random.default_rng(order)
+    windows = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0, 2.0]), size=(n, order))
+    ids, ties = _oracle_ids_and_ties(windows)
+    codes, tied = _pattern_codes(windows)
+    assert (codes + 1).tolist() == ids
+    assert tied.tolist() == ties
+    dist = count_windows(windows)
+    expected = np.bincount(np.asarray(ids) - 1, minlength=math.factorial(order))
+    assert np.array_equal(dist.counts, expected)
+    assert dist.ties_observed == sum(ties) > 0
+
+
+def test_kernel_reads_non_contiguous_windows():
+    base = np.random.default_rng(3).integers(0, 4, size=(400, 13)).astype(float)
+    windows = base[::3, 1::2]  # (134, 6), contiguous along neither axis
+    assert not (windows.flags.c_contiguous or windows.flags.f_contiguous)
+    ids, ties = _oracle_ids_and_ties(windows)
+    dist = count_windows(windows)
+    assert np.array_equal(dist.counts, np.bincount(np.asarray(ids) - 1, minlength=720))
+    assert dist.ties_observed == sum(ties) > 0
 
 
 def test_uniformity_on_iid_noise():
