@@ -241,8 +241,6 @@ def _write_output(text: str, output: str | None) -> None:
 
 def _analyze_distribution(part: ReturnSeries, args) -> tuple[PatternDistribution, int | None]:
     if args.weeks == "calendar":
-        if args.d != 5:
-            raise InvalidInputError("calendar week partitioning is defined for --d 5")
         grouped = calendar_weeks(part)
         if grouped.windows.shape[0] == 0:
             raise InvalidInputError(f"{part.label}: no complete Monday-Friday weeks")
@@ -278,18 +276,18 @@ def _analyze_section(part: ReturnSeries, args) -> dict:
             for k, (p, c) in enumerate(zip(pattern_strings(dist.order), dist.counts.tolist()))
         ],
         "position_matrix": {
-            "weeks": matrix.weeks,
+            "weeks": dist.windows,
             "rows": [
                 {
                     "day": i,
-                    "counts": matrix.a[i, :].tolist(),
+                    "counts": matrix[i, :].tolist(),
                     **_outcome_dict(rows[i], alpha),
                 }
-                for i in range(matrix.order)
+                for i in range(dist.order)
             ],
             "columns": [
                 {"position": j, **_outcome_dict(columns[j], alpha)}
-                for j in range(matrix.order)
+                for j in range(dist.order)
             ],
         },
         "tests": {
@@ -328,6 +326,10 @@ def _log_section_decisions(label: str, dist: PatternDistribution, chi_outcomes) 
 
 
 def cmd_analyze(args) -> int:
+    if args.weeks == "calendar" and args.d != 5:
+        raise InvalidInputError("calendar week partitioning is defined for --d 5")
+    if args.weeks == "calendar" and args.stride is not None:
+        raise InvalidInputError("--stride applies to --weeks block, not to calendar weeks")
     series = _load_series(args)
     if args.subperiods:
         parts = split_subperiods(series, SubperiodSpec(tuple(args.subperiods)))

@@ -21,9 +21,5 @@ class RejectedRowError(OrdinalSeasonalityError, ValueError):
     """A row is structurally unusable (e.g. weekend date in daily equity data)."""
 
 
-class DegenerateFrequencyError(OrdinalSeasonalityError, ValueError):
-    """Observed frequency of 0 or 1 makes the normal approximation undefined."""
-
-
 class DegenerateSeriesError(OrdinalSeasonalityError, ValueError):
     """The series carries no variation to analyze (e.g. constant values)."""

@@ -35,6 +35,7 @@ from .patterns import (
     PatternDistribution,
     PatternFamily,
     count_patterns,
+    family_share,
     pattern_family,
     position_counts,
 )
@@ -286,7 +287,7 @@ def _family_aggregate(
     kind: PatternFamily, counts: np.ndarray, order: int, weeks: int, rejections: RejectionCounts
 ) -> BinomialAggregate:
     family = np.asarray(sorted(pattern_family(kind, order))) - 1
-    p_e = family.size / counts.shape[1]  # the family's share under uniformity
+    p_e = family_share(kind, order)
     p_o = counts[:, family].sum(axis=1) / weeks
     return BinomialAggregate(
         averaged=binomial_test(p_e, float(p_o.mean()), weeks, {"kind": kind.value}),

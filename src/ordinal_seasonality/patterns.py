@@ -173,6 +173,13 @@ class PatternFamily(Enum):
     MONDAY_WORST_FRIDAY_BEST = "monday-worst-friday-best"
 
 
+def _family_order(order: int) -> int:
+    order = _validate_order(order)
+    if order < 3:
+        raise InvalidInputError("pattern families need order >= 3")
+    return order
+
+
 @lru_cache(maxsize=None)
 def pattern_family(kind: PatternFamily, order: int = 5) -> frozenset[int]:
     """Pattern ids in the family, for windows starting on Monday (day 0).
@@ -182,9 +189,7 @@ def pattern_family(kind: PatternFamily, order: int = 5) -> frozenset[int]:
     selects first digit 0 and last digit D-1, (D-2)! ids.  Built once per
     (kind, order); every caller shares the frozenset.
     """
-    order = _validate_order(order)
-    if order < 3:
-        raise InvalidInputError("pattern families need order >= 3")
+    order = _family_order(order)
     table = pattern_table(order)
     if kind is PatternFamily.MONDAY_LARGEST:
         members = table[:, -1] == 0
@@ -193,6 +198,18 @@ def pattern_family(kind: PatternFamily, order: int = 5) -> frozenset[int]:
     else:  # pragma: no cover - enum is closed
         raise InvalidInputError(f"unknown family {kind!r}")
     return frozenset((np.flatnonzero(members) + 1).tolist())
+
+
+def family_share(kind: PatternFamily, order: int) -> float:
+    """The family's share of all D! patterns: its frequency when every pattern is equally likely.
+
+    (D-1)!/D! = 1/D for ``MONDAY_LARGEST`` and (D-2)!/D! = 1/(D(D-1)) for
+    ``MONDAY_WORST_FRIDAY_BEST``.  Either is one correctly rounded
+    division, so it equals ``len(pattern_family(kind, order)) / D!`` bit
+    for bit, without building the family.
+    """
+    order = _family_order(order)
+    return 1.0 / order if kind is PatternFamily.MONDAY_LARGEST else 1.0 / (order * (order - 1))
 
 
 @dataclass

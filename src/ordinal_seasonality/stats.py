@@ -4,6 +4,13 @@ Five null hypotheses are covered: uniformity over all D! patterns (H1),
 uniformity of each day across rank positions (H2), uniformity of each rank
 position across days (H3), and two binomial tests on named pattern
 families, Monday-best (H4) and Monday-worst-with-Friday-best (H5).
+
+The tests take plain data: H1, H4 and H5 read a
+:class:`~ordinal_seasonality.patterns.PatternDistribution`, H2 and H3 the
+(D, D) int64 array of :func:`position_matrix`, H2 its rows and H3 its
+columns through one body.  H4 and H5 share one body too, with the
+family's uniform share (:func:`~ordinal_seasonality.patterns.family_share`)
+as the expected frequency of :func:`binomial_test`.
 """
 
 from __future__ import annotations
@@ -14,10 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateFrequencyError, InvalidInputError
+from .errors import InvalidInputError
 from .patterns import (
     PatternDistribution,
     PatternFamily,
+    family_share,
     pattern_family,
     position_counts,
 )
@@ -105,15 +113,8 @@ class TestOutcome:
         p_value = float(p_value)
         if not 0.0 <= p_value <= 1.0:
             raise InvalidInputError(f"p-value {p_value} outside [0, 1]")
-        return cls(
-            statistic=float(statistic),
-            df=df,
-            p_value=p_value,
-            reject_10=p_value < 0.10,
-            reject_05=p_value < 0.05,
-            reject_01=p_value < 0.01,
-            observed=observed,
-        )
+        rejects = (p_value < level for level in SIGNIFICANCE_LEVELS)
+        return cls(float(statistic), df, p_value, *rejects, observed=observed)
 
     def stars(self) -> str:
         """Significance stars: * 10%, ** 5%, *** 1%."""
@@ -126,32 +127,13 @@ class TestOutcome:
         return ""
 
 
-@dataclass
-class PositionMatrix:
-    """D x D counts of day i holding rank position j over all weeks."""
+def position_matrix(dist: PatternDistribution) -> np.ndarray:
+    """Day-by-position counts of a pattern distribution, an int64 (D, D) array.
 
-    a: np.ndarray
-    weeks: int
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidInputError("position matrix must be square")
-        if (a < 0).any():
-            raise InvalidInputError("position matrix entries must be non-negative")
-        self.weeks = int(self.weeks)
-        if not np.all(a.sum(axis=0) == self.weeks) or not np.all(a.sum(axis=1) == self.weeks):
-            raise InvalidInputError("every row and column must sum to the week count")
-        self.a = a.astype(np.int64)
-
-    @property
-    def order(self) -> int:
-        return self.a.shape[0]
-
-
-def position_matrix(dist: PatternDistribution) -> PositionMatrix:
-    """Day-by-position frequency matrix of a pattern distribution."""
-    return PositionMatrix(a=position_counts(dist.counts, dist.order), weeks=dist.windows)
+    Cell ``(i, j)`` counts the windows in which day ``i`` holds rank
+    position ``j``, so every row and column sums to ``dist.windows``.
+    """
+    return position_counts(dist.counts, dist.order).astype(np.int64)
 
 
 def chi2_statistic(observed) -> float:
@@ -189,127 +171,71 @@ def test_h1_pattern_uniformity(dist: PatternDistribution) -> TestOutcome:
     )
 
 
-def test_h2_day_rows(matrix: PositionMatrix) -> list[TestOutcome]:
-    """H2: each day occupies every rank position equally often (df = D - 1)."""
-    outcomes = []
-    for i in range(matrix.order):
-        outcomes.append(
-            _chi2_outcome(
-                matrix.a[i, :],
-                df=matrix.order - 1,
-                observed_payload={"kind": "day-row", "day": i, "counts": matrix.a[i, :].tolist()},
-            )
-        )
-    return outcomes
+def _line_tests(lines: np.ndarray, kind: str, key: str) -> list[TestOutcome]:
+    """One chi-squared test per row of a square count matrix (df = D - 1)."""
+    if lines.ndim != 2 or lines.shape[0] != lines.shape[1]:
+        raise InvalidInputError("position matrix must be square")
+    df = lines.shape[0] - 1
+    return [
+        _chi2_outcome(line, df, {"kind": kind, key: i, "counts": line.tolist()})
+        for i, line in enumerate(lines)
+    ]
 
 
-def test_h3_position_columns(matrix: PositionMatrix) -> list[TestOutcome]:
-    """H3: each rank position is occupied by every day equally often (df = D - 1)."""
-    outcomes = []
-    for j in range(matrix.order):
-        outcomes.append(
-            _chi2_outcome(
-                matrix.a[:, j],
-                df=matrix.order - 1,
-                observed_payload={
-                    "kind": "position-column",
-                    "position": j,
-                    "counts": matrix.a[:, j].tolist(),
-                },
-            )
-        )
-    return outcomes
+def test_h2_day_rows(matrix) -> list[TestOutcome]:
+    """H2: in each row of the (D, D) position matrix, every rank position is equally likely (df = D - 1)."""
+    return _line_tests(np.asarray(matrix), "day-row", "day")
 
 
-@dataclass(frozen=True)
-class BinomialTestInput:
-    """Inputs of the normal-approximated binomial test."""
-
-    p_e: float
-    p_o: float
-    weeks: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.p_e < 1.0:
-            raise InvalidInputError("expected frequency must lie in (0, 1)")
-        if self.weeks < 1:
-            raise InvalidInputError("week count must be >= 1")
-
-
-def binomial_z(inp: BinomialTestInput) -> float:
-    """z = (p_e - p_o) / sqrt(p_o q_o / N): negative when observed exceeds expected."""
-    if not 0.0 < inp.p_o < 1.0:
-        raise DegenerateFrequencyError(
-            f"observed frequency {inp.p_o} leaves the normal approximation undefined"
-        )
-    q_o = 1.0 - inp.p_o
-    return (inp.p_e - inp.p_o) / math.sqrt(inp.p_o * q_o / inp.weeks)
+def test_h3_position_columns(matrix) -> list[TestOutcome]:
+    """H3: in each column of the (D, D) position matrix, every day is equally likely (df = D - 1)."""
+    return _line_tests(np.asarray(matrix).T, "position-column", "position")
 
 
 def binomial_test(p_e: float, p_o: float, weeks: int, payload: dict | None = None) -> TestOutcome:
-    """Two-sided binomial test of an observed frequency via the z statistic.
+    """Two-sided binomial test of an observed frequency ``p_o`` over ``weeks`` weeks.
 
-    Degenerate observed frequencies (0 or 1), where the z denominator
-    vanishes, fall back to the exact all-or-nothing binomial tail and are
-    flagged in the payload.
+    The statistic is z = (p_e - p_o) / sqrt(p_o q_o / N), negative when
+    the observed frequency exceeds the expected one.  At p_o = 0 or 1 the
+    denominator vanishes: the exact all-or-nothing binomial tail gives the
+    p-value, z is +inf or -inf, and the payload flags the outcome as
+    degenerate.
     """
+    if not 0.0 < p_e < 1.0:
+        raise InvalidInputError("expected frequency must lie in (0, 1)")
+    if not 0.0 <= p_o <= 1.0:  # nan fails too
+        raise InvalidInputError(f"observed frequency {p_o} outside [0, 1]")
     if weeks < 1:
         raise InvalidInputError("week count must be >= 1")
-    payload = dict(payload or {})
-    payload.update(
-        {
-            "p_e": float(p_e),
-            "p_o": float(p_o),
-            "q_o": float(1.0 - p_o),
-            "weeks": int(weeks),
-        }
-    )
-    try:
-        z = binomial_z(BinomialTestInput(p_e=p_e, p_o=p_o, weeks=weeks))
-    except DegenerateFrequencyError:
-        if p_o <= 0.0:
-            tail = (1.0 - p_e) ** weeks
-            statistic = math.inf  # maximal under-representation
-        else:
-            tail = p_e**weeks
-            statistic = -math.inf
+    q_o = 1.0 - p_o
+    payload = dict(payload or {}, p_e=float(p_e), p_o=float(p_o), q_o=float(q_o), weeks=int(weeks))
+    if p_o == 0.0 or p_o == 1.0:
+        # maximal under- or over-representation
+        statistic, tail = (math.inf, (1.0 - p_e) ** weeks) if p_o == 0.0 else (-math.inf, p_e**weeks)
         payload["degenerate"] = True
         payload["exact_tail"] = float(tail)
         return TestOutcome.from_p(statistic, None, min(1.0, 2.0 * tail), payload)
-
+    z = (p_e - p_o) / math.sqrt(p_o * q_o / weeks)
     payload["degenerate"] = False
     payload["p_upper_tail"] = normal_sf(z)
     payload["p_lower_tail"] = normal_sf(-z)
     return TestOutcome.from_p(z, None, 2.0 * normal_sf(abs(z)), payload)
 
 
-def _binomial_outcome(p_e: float, family_count: int, weeks: int, payload: dict) -> TestOutcome:
-    if weeks < 1:
-        raise InvalidInputError("week count must be >= 1")
-    payload = dict(payload)
-    payload["family_count"] = int(family_count)
-    return binomial_test(p_e, family_count / weeks, weeks, payload)
+def _family_test(dist: PatternDistribution, kind: PatternFamily) -> TestOutcome:
+    if dist.windows <= 0:
+        raise InvalidInputError("distribution has no windows")
+    family = pattern_family(kind, dist.order)
+    count = dist.family_count(family)
+    payload = {"kind": kind.value, "family_size": len(family), "family_count": count}
+    return binomial_test(family_share(kind, dist.order), count / dist.windows, dist.windows, payload)
 
 
 def test_h4_monday_largest(dist: PatternDistribution) -> TestOutcome:
     """H4: Monday-best patterns hold their uniform share (D-1)!/D! of weeks."""
-    family = pattern_family(PatternFamily.MONDAY_LARGEST, dist.order)
-    p_e = 1.0 / dist.order
-    return _binomial_outcome(
-        p_e,
-        dist.family_count(family),
-        dist.windows,
-        {"kind": "monday-largest", "family_size": len(family)},
-    )
+    return _family_test(dist, PatternFamily.MONDAY_LARGEST)
 
 
 def test_h5_monday_worst_friday_best(dist: PatternDistribution) -> TestOutcome:
     """H5: Monday-worst/Friday-best patterns hold share (D-2)!/D! of weeks."""
-    family = pattern_family(PatternFamily.MONDAY_WORST_FRIDAY_BEST, dist.order)
-    p_e = 1.0 / (dist.order * (dist.order - 1))
-    return _binomial_outcome(
-        p_e,
-        dist.family_count(family),
-        dist.windows,
-        {"kind": "monday-worst-friday-best", "family_size": len(family)},
-    )
+    return _family_test(dist, PatternFamily.MONDAY_WORST_FRIDAY_BEST)

@@ -123,6 +123,20 @@ def test_analyze_calendar_mode(returns_csv):
     assert section["weeks"] == 120
 
 
+@pytest.mark.parametrize(
+    ("flags", "message"),
+    [(["--stride", "1"], "--stride applies to --weeks block"),
+     (["--d", "6"], "calendar week partitioning is defined for --d 5")],
+)
+def test_analyze_calendar_mode_rejects_block_options(capsys, flags, message):
+    argv = ["analyze", "--input", str(GOLDENS / "dated.csv"), "--column", "ret",
+            "--date-column", "date", "--weeks", "calendar", *flags]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
 def test_analyze_subperiod_sections(fixture_csv):
     out = run_cli(
         "analyze",

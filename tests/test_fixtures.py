@@ -36,7 +36,7 @@ def test_fixture_matches_bundled_matrix():
     dist = nyse_fixture_distribution()
     assert dist.windows == 2710
     matrix = position_matrix(dist)
-    assert np.array_equal(matrix.a, NYSE_POSITION_MATRIX)
+    assert np.array_equal(matrix, NYSE_POSITION_MATRIX)
 
 
 def test_fixture_preserves_extremes():
@@ -77,7 +77,7 @@ def test_shuffled_fixture():
     dist = nyse_shuffled_distribution()
     assert dist.windows == 2440
     matrix = position_matrix(dist)
-    assert np.array_equal(matrix.a, NYSE_SHUFFLED_POSITION_MATRIX)
+    assert np.array_equal(matrix, NYSE_SHUFFLED_POSITION_MATRIX)
     rows = h2_test(matrix)
     columns = h3_test(matrix)
     for outcome, expected in zip(rows, SHUFFLED_ROW_Q):
@@ -99,7 +99,7 @@ def test_series_realizes_fixture_counts():
 def test_whole_period_q_from_series():
     series = series_from_distribution(nyse_fixture_distribution())
     matrix = position_matrix(count_patterns(series, order=5, stride=5))
-    assert chi2_statistic(matrix.a[0]) == pytest.approx(22.78967, abs=1e-5)
+    assert chi2_statistic(matrix[0]) == pytest.approx(22.78967, abs=1e-5)
 
 
 def test_decompose_plain_matrix():

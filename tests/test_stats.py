@@ -12,12 +12,10 @@ from scipy.special import gammaincc, gammainccinv
 
 import ordinal_seasonality
 
-from ordinal_seasonality.errors import DegenerateFrequencyError, InvalidInputError
-from ordinal_seasonality.patterns import PatternDistribution
+from ordinal_seasonality.errors import InvalidInputError
+from ordinal_seasonality.patterns import PatternDistribution, PatternFamily, family_share, pattern_family
 from ordinal_seasonality.stats import (
-    BinomialTestInput,
     binomial_test,
-    binomial_z,
     chi2_sf,
     chi2_statistic,
     normal_sf,
@@ -49,15 +47,15 @@ def _identity_only_dist(weeks):
 
 def test_position_matrix_identity_pattern():
     matrix = position_matrix(_identity_only_dist(3))
-    assert np.array_equal(matrix.a, 3 * np.eye(5, dtype=int))
-    assert matrix.weeks == 3
+    assert matrix.dtype == np.int64
+    assert np.array_equal(matrix, 3 * np.eye(5, dtype=int))
 
 
 def test_position_matrix_reversal_pattern():
     counts = np.zeros(120, dtype=np.int64)
     counts[119] = 2  # pattern 43210
     matrix = position_matrix(_dist_from_counts(counts))
-    assert np.array_equal(matrix.a, 2 * np.fliplr(np.eye(5, dtype=int)))
+    assert np.array_equal(matrix, 2 * np.fliplr(np.eye(5, dtype=int)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -66,9 +64,10 @@ def test_position_matrix_row_and_column_sums(seed):
     rng = np.random.default_rng(seed)
     counts = rng.integers(0, 40, size=120)
     counts[rng.integers(0, 120)] += 1  # ensure at least one window
-    matrix = position_matrix(_dist_from_counts(counts))
-    assert (matrix.a.sum(axis=0) == matrix.weeks).all()
-    assert (matrix.a.sum(axis=1) == matrix.weeks).all()
+    dist = _dist_from_counts(counts)
+    matrix = position_matrix(dist)
+    assert (matrix.sum(axis=0) == dist.windows).all()
+    assert (matrix.sum(axis=1) == dist.windows).all()
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +153,13 @@ def test_h2_flags_below_expected_frequency_floor():
     assert all(outcome.observed["low_expected_frequency"] for outcome in outcomes)
 
 
+@pytest.mark.parametrize("test", [h2_test, h3_test])
+@pytest.mark.parametrize("matrix", [np.ones((5, 4), dtype=np.int64), np.ones(5), np.ones((2, 2, 2))])
+def test_line_tests_reject_non_square_matrix(test, matrix):
+    with pytest.raises(InvalidInputError, match="square"):
+        test(matrix)
+
+
 def test_outcome_decision_monotonicity_property():
     from ordinal_seasonality.stats import TestOutcome
 
@@ -171,34 +177,67 @@ def test_outcome_decision_monotonicity_property():
 
 
 def test_binomial_z_zero_when_matched():
-    assert binomial_z(BinomialTestInput(p_e=0.2, p_o=0.2, weeks=100)) == 0.0
+    assert binomial_test(0.2, 0.2, 100).statistic == 0.0
 
 
 def test_binomial_z_derived_value():
-    z = binomial_z(BinomialTestInput(p_e=0.05, p_o=0.0625, weeks=400))
+    z = binomial_test(0.05, 0.0625, 400).statistic
     assert z == pytest.approx(-1.0327955589886442, abs=1e-5)
 
 
 def test_binomial_z_sign_convention():
     # under-representation (observed below expected) gives positive z
-    z = binomial_z(BinomialTestInput(p_e=0.2, p_o=0.18850, weeks=2000))
+    z = binomial_test(0.2, 0.18850, 2000).statistic
     assert z > 0
 
 
 @pytest.mark.parametrize(("p_e", "p_o", "weeks"), [(0.2, 0.3, 5000), (0.2, 0.1885, 2000)])
 def test_binomial_tails_do_not_cancel(p_e, p_o, weeks):
-    payload = binomial_test(p_e, p_o, weeks).observed
-    z = binomial_z(BinomialTestInput(p_e=p_e, p_o=p_o, weeks=weeks))
+    outcome = binomial_test(p_e, p_o, weeks)
+    payload, z = outcome.observed, outcome.statistic
     phi = 0.5 * math.erfc(-z / math.sqrt(2.0))  # P(Z <= z), about 5e-54 for the first case
     assert payload["p_lower_tail"] == pytest.approx(phi, rel=1e-12, abs=0.0)
     assert payload["p_upper_tail"] == pytest.approx(0.5 * math.erfc(z / math.sqrt(2.0)), rel=1e-12, abs=0.0)
 
 
-def test_binomial_z_degenerate_raises():
-    with pytest.raises(DegenerateFrequencyError):
-        binomial_z(BinomialTestInput(p_e=0.2, p_o=0.0, weeks=10))
-    with pytest.raises(DegenerateFrequencyError):
-        binomial_z(BinomialTestInput(p_e=0.2, p_o=1.0, weeks=10))
+def test_binomial_z_degenerate_is_flagged():
+    empty = binomial_test(0.2, 0.0, 10)
+    assert empty.observed["degenerate"] is True
+    assert empty.statistic == math.inf
+    assert empty.p_value == 2.0 * (1.0 - 0.2) ** 10
+    full = binomial_test(0.2, 1.0, 10)
+    assert full.observed["degenerate"] is True
+    assert full.statistic == -math.inf
+    assert full.p_value == 2.0 * 0.2**10
+    assert binomial_test(0.2, 0.5, 10).observed["degenerate"] is False
+
+
+@pytest.mark.parametrize("p_o", [1.5, -0.1, math.nan, math.inf])
+def test_binomial_rejects_impossible_observed_frequency(p_o):
+    with pytest.raises(InvalidInputError, match="observed frequency"):
+        binomial_test(0.2, p_o, 10)
+
+
+@pytest.mark.parametrize(("p_e", "weeks"), [(0.0, 10), (1.0, 10), (math.nan, 10), (0.2, 0)])
+def test_binomial_rejects_bad_expected_frequency_and_weeks(p_e, weeks):
+    with pytest.raises(InvalidInputError):
+        binomial_test(p_e, 0.5, weeks)
+
+
+@pytest.mark.parametrize("order", range(3, 11))
+def test_family_share_is_the_closed_form(order):
+    # the H4/H5 p_e leaves of every report rest on these exact doubles
+    assert family_share(PatternFamily.MONDAY_LARGEST, order) == 1.0 / order
+    assert family_share(PatternFamily.MONDAY_WORST_FRIDAY_BEST, order) == 1.0 / (order * (order - 1))
+    if order <= 7:
+        for kind in PatternFamily:
+            assert family_share(kind, order) == len(pattern_family(kind, order)) / math.factorial(order)
+
+
+@pytest.mark.parametrize("order", [2, 11])
+def test_family_share_rejects_orders_without_families(order):
+    with pytest.raises(InvalidInputError):
+        family_share(PatternFamily.MONDAY_LARGEST, order)
 
 
 def test_h4_exact_share_gives_zero():

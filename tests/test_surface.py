@@ -1,0 +1,50 @@
+"""What callers outside the package rely on: README's library example and
+the module attributes the benchmark tracer patches.
+
+``bench/tracer.py`` wraps names in the ``cli``, ``fgn`` and ``stats``
+namespaces by ``getattr``, so a refactor that drops one of them breaks
+the traced benchmark.  Checking the names here makes that a tier-1
+failure.  The tracer module is only read, never installed.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("_bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACER = _load_tracer()
+PATCHED = sorted({*TRACER.SPANS, *TRACER.COUNTERS})
+
+
+@pytest.mark.parametrize(("module", "attribute"), PATCHED, ids=[f"{m}.{a}" for m, a in PATCHED])
+def test_tracer_patches_existing_names(module, attribute):
+    namespace = importlib.import_module(f"ordinal_seasonality.{module}")
+    assert callable(getattr(namespace, attribute, None)), f"ordinal_seasonality.{module}.{attribute}"
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert float(lines[0]) < 0.01  # persistent noise: uniformity rejected
+    assert float(lines[1]) > 0.2  # Monday-best share above its uniform 1/5
+    matrix = np.array([[int(x) for x in re.findall(r"\d+", line)] for line in lines[2:]])
+    assert matrix.shape == (5, 5)
+    assert (matrix.sum(axis=0) == 2000).all() and (matrix.sum(axis=1) == 2000).all()
