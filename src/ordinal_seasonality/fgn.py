@@ -194,7 +194,8 @@ def fgn_replication(
 def shuffle_replication(values: np.ndarray, order: int, master_seed: int, index: int) -> Replication:
     """Tests on the uniformly shuffled copy of ``values`` of replication ``index``."""
     rng = replication_rng(master_seed, index)
-    shuffled = values[rng.permutation(values.size)]
+    # shuffling a copy draws the same swaps as permuting indices, so equals values[permutation(n)]
+    shuffled = rng.permutation(values)
     return _tested(count_patterns(shuffled, order=order, stride=order))
 
 

@@ -136,50 +136,56 @@ def position_matrix(dist: PatternDistribution) -> np.ndarray:
     return position_counts(dist.counts, dist.order).astype(np.int64)
 
 
-def chi2_statistic(observed) -> float:
-    """Pearson Q against a uniform expectation over the observed cells."""
-    obs = np.asarray(observed, dtype=float)
-    if obs.ndim != 1 or obs.size < 2:
+def _pearson(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson Q of each row of float counts against the row's mean, and that mean.
+
+    Works along the last axis.  A row of a C-contiguous block reduces
+    exactly as the same row on its own, so Q is the same bit for bit
+    whether the rows come one at a time or all at once.
+    """
+    if obs.shape[-1] < 2:
         raise InvalidInputError("need at least two observed counts")
     if (obs < 0).any():
         raise InvalidInputError("observed counts must be non-negative")
-    total = obs.sum()
-    if total <= 0:
+    expected = obs.sum(axis=-1, keepdims=True) / obs.shape[-1]
+    if (expected <= 0).any():
         raise InvalidInputError("total observed count must be positive")
-    expected = total / obs.size
-    return float(((obs - expected) ** 2 / expected).sum())
+    return ((obs - expected) ** 2 / expected).sum(axis=-1), expected[..., 0]
 
 
-def _chi2_outcome(observed, df: int, observed_payload: dict) -> TestOutcome:
+def chi2_statistic(observed) -> float:
+    """Pearson Q against a uniform expectation over the observed cells."""
     obs = np.asarray(observed, dtype=float)
-    q = chi2_statistic(obs)
-    expected = obs.sum() / obs.size
-    payload = dict(observed_payload)
-    payload["expected_frequency"] = float(expected)
-    payload["low_expected_frequency"] = bool(expected < EXPECTED_FREQUENCY_FLOOR)
-    return TestOutcome.from_p(q, df, chi2_sf(q, df), payload)
+    if obs.ndim != 1:
+        raise InvalidInputError("need at least two observed counts")
+    return float(_pearson(obs)[0])
+
+
+def _chi2_outcomes(lines: np.ndarray, payloads: list[dict]) -> list[TestOutcome]:
+    """One chi-squared test of uniformity per row of a count matrix (df = cells - 1)."""
+    q, expected = _pearson(np.ascontiguousarray(lines, dtype=float))
+    df = lines.shape[1] - 1
+    outcomes = []
+    for q_i, e, payload in zip(q.tolist(), expected.tolist(), payloads):
+        payload = {**payload, "expected_frequency": e, "low_expected_frequency": e < EXPECTED_FREQUENCY_FLOOR}
+        outcomes.append(TestOutcome.from_p(q_i, df, chi2_sf(q_i, df), payload))
+    return outcomes
 
 
 def test_h1_pattern_uniformity(dist: PatternDistribution) -> TestOutcome:
     """H1: every pattern appears equally often (df = D! - 1)."""
     if dist.windows <= 0:
         raise InvalidInputError("distribution has no windows")
-    return _chi2_outcome(
-        dist.counts,
-        df=dist.counts.size - 1,
-        observed_payload={"kind": "pattern-uniformity", "windows": dist.windows},
-    )
+    payload = {"kind": "pattern-uniformity", "windows": dist.windows}
+    return _chi2_outcomes(dist.counts[None, :], [payload])[0]
 
 
 def _line_tests(lines: np.ndarray, kind: str, key: str) -> list[TestOutcome]:
-    """One chi-squared test per row of a square count matrix (df = D - 1)."""
+    """One chi-squared test per row of a square count matrix (df = D - 1), all rows at once."""
     if lines.ndim != 2 or lines.shape[0] != lines.shape[1]:
         raise InvalidInputError("position matrix must be square")
-    df = lines.shape[0] - 1
-    return [
-        _chi2_outcome(line, df, {"kind": kind, key: i, "counts": line.tolist()})
-        for i, line in enumerate(lines)
-    ]
+    payloads = [{"kind": kind, key: i, "counts": line} for i, line in enumerate(lines.tolist())]
+    return _chi2_outcomes(lines, payloads)
 
 
 def test_h2_day_rows(matrix) -> list[TestOutcome]:

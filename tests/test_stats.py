@@ -160,6 +160,29 @@ def test_line_tests_reject_non_square_matrix(test, matrix):
         test(matrix)
 
 
+@pytest.mark.parametrize("order", range(2, 11))
+def test_line_tests_equal_one_line_at_a_time_bit_for_bit(order):
+    # the lines are tested as one block; each Q must equal chi2_statistic of that line alone,
+    # also from D = 8 on, where numpy sums a line pairwise rather than left to right
+    rng = np.random.default_rng(order)
+    for matrix in (rng.integers(1, 900, size=(order, order)), rng.random((order, order)) * 50 + 0.1):
+        rows, columns = h2_test(matrix), h3_test(matrix)
+        for i in range(order):
+            assert rows[i].statistic == chi2_statistic(matrix[i, :])
+            assert columns[i].statistic == chi2_statistic(matrix[:, i])
+            assert rows[i].observed["expected_frequency"] == matrix[i, :].astype(float).sum() / order
+    counts = rng.integers(0, 40, size=math.factorial(min(order, 8)))
+    dist = PatternDistribution(order=min(order, 8), counts=counts, windows=int(counts.sum()))
+    assert h1_test(dist).statistic == chi2_statistic(counts)
+
+
+def test_line_tests_reject_negative_and_empty_lines():
+    with pytest.raises(InvalidInputError, match="non-negative"):
+        h2_test(np.array([[3, -1], [1, 1]]))
+    with pytest.raises(InvalidInputError, match="positive"):
+        h3_test(np.array([[0, 2], [0, 2]]))
+
+
 def test_outcome_decision_monotonicity_property():
     from ordinal_seasonality.stats import TestOutcome
 
