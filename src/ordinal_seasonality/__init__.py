@@ -12,10 +12,8 @@ from .fgn import (
     EnsembleConfig,
     FgnConfig,
     SimulationReport,
-    fbm_from_fgn,
     fgn_autocovariance,
     fgn_generate,
-    first_differences,
     run_ensemble,
 )
 from .hurst import HurstEstimate, HurstMethod, estimate_hurst
@@ -25,22 +23,15 @@ from .ingest import (
     calendar_weeks,
     load_csv,
     log_returns,
-    shuffle_series,
     split_subperiods,
 )
 from .patterns import (
-    OrdinalPattern,
     PatternDistribution,
     PatternFamily,
-    all_patterns,
     count_patterns,
     count_windows,
-    encode_window,
     family_share,
     pattern_family,
-    rank_pattern,
-    unrank_pattern,
-    window_has_ties,
 )
 from .stats import (
     TestOutcome,
@@ -66,7 +57,6 @@ __all__ = [
     "HurstMethod",
     "InvalidInputError",
     "OrderError",
-    "OrdinalPattern",
     "OrdinalSeasonalityError",
     "PatternDistribution",
     "PatternFamily",
@@ -76,34 +66,26 @@ __all__ = [
     "SimulationReport",
     "SubperiodSpec",
     "TestOutcome",
-    "all_patterns",
     "binomial_test",
     "calendar_weeks",
     "chi2_sf",
     "chi2_statistic",
     "count_patterns",
     "count_windows",
-    "encode_window",
     "estimate_hurst",
     "family_share",
-    "fbm_from_fgn",
     "fgn_autocovariance",
     "fgn_generate",
-    "first_differences",
     "load_csv",
     "log_returns",
     "normal_sf",
     "pattern_family",
     "position_matrix",
-    "rank_pattern",
     "run_ensemble",
-    "shuffle_series",
     "split_subperiods",
     "test_h1_pattern_uniformity",
     "test_h2_day_rows",
     "test_h3_position_columns",
     "test_h4_monday_largest",
     "test_h5_monday_worst_friday_best",
-    "unrank_pattern",
-    "window_has_ties",
 ]

@@ -35,8 +35,9 @@ from .patterns import (
     PatternDistribution,
     PatternFamily,
     count_patterns,
+    family_index,
     family_share,
-    pattern_family,
+    pattern_family,  # unused here; bench/tracer.py wraps fgn.pattern_family by name
     position_counts,
 )
 from .stats import (
@@ -140,23 +141,6 @@ def fgn_generate(cfg: FgnConfig) -> ReturnSeries:
         raise InvalidInputError("fgn_generate requires an explicit seed")
     values = cfg.sigma * _fgn_circulant(cfg.length, cfg.hurst, np.random.default_rng(cfg.seed))
     return ReturnSeries(values=values, label=f"fgn(H={cfg.hurst:g}, n={cfg.length}, circulant)")
-
-
-def fbm_from_fgn(noise) -> ReturnSeries:
-    """Cumulative sums of the noise: the motion path starting from zero."""
-    values = np.asarray(getattr(noise, "values", noise), dtype=float)
-    if values.size < 1:
-        raise InvalidInputError("noise must be non-empty")
-    label = str(getattr(noise, "label", ""))
-    return ReturnSeries(values=np.cumsum(values), label=f"cumsum({label})" if label else "cumsum")
-
-
-def first_differences(path) -> ReturnSeries:
-    """Increments of a path anchored at zero; inverse of :func:`fbm_from_fgn`."""
-    values = np.asarray(getattr(path, "values", path), dtype=float)
-    if values.size < 1:
-        raise InvalidInputError("path must be non-empty")
-    return ReturnSeries(values=np.diff(values, prepend=0.0), label="diff")
 
 
 def replication_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -287,9 +271,8 @@ def _averaged_chi_outcome(mean_cells: np.ndarray, df: int, payload: dict) -> Tes
 def _family_aggregate(
     kind: PatternFamily, counts: np.ndarray, order: int, weeks: int, rejections: RejectionCounts
 ) -> BinomialAggregate:
-    family = np.asarray(sorted(pattern_family(kind, order))) - 1
     p_e = family_share(kind, order)
-    p_o = counts[:, family].sum(axis=1) / weeks
+    p_o = counts[:, family_index(kind, order)].sum(axis=1) / weeks
     return BinomialAggregate(
         averaged=binomial_test(p_e, float(p_o.mean()), weeks, {"kind": kind.value}),
         rejections=rejections,

@@ -23,13 +23,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .ingest import ReturnSeries
-from .patterns import (
-    OrdinalPattern,
-    PatternDistribution,
-    pattern_table,
-    position_counts,
-    rank_pattern,
-)
+from .patterns import PatternDistribution, pattern_strings, pattern_table, position_counts
 
 # pattern digit-string -> absolute frequency, whole period (2,440 blocks)
 NYSE_PATTERN_COUNTS = {
@@ -84,13 +78,18 @@ NYSE_SHUFFLED_POSITION_MATRIX = np.array(
 )
 
 
+def _pattern_ids(order: int, digit_strings) -> list[int]:
+    """Ids of digit strings, each of which must be a pattern of the given order."""
+    ids = {digits: k for k, digits in enumerate(pattern_strings(order), start=1)}
+    for digits in digit_strings:
+        if digits not in ids:
+            raise InvalidInputError(f"{digits!r} is not a pattern of order {order}")
+    return [ids[digits] for digits in digit_strings]
+
+
 def _pattern_counts_array(order: int, table: dict[str, int]) -> np.ndarray:
     counts = np.zeros(math.factorial(order), dtype=np.int64)
-    for digits, count in table.items():
-        pattern = OrdinalPattern(tuple(int(ch) for ch in digits))
-        if pattern.order != order:
-            raise InvalidInputError(f"pattern {digits} has order {pattern.order}, want {order}")
-        counts[rank_pattern(pattern) - 1] = count
+    counts[np.array(_pattern_ids(order, table), dtype=np.intp) - 1] = list(table.values())
     return counts
 
 
@@ -156,14 +155,9 @@ def nyse_fixture_distribution() -> PatternDistribution:
     residual = NYSE_POSITION_MATRIX - position_counts(base, 5).astype(np.int64)
     if (residual < 0).any():  # pragma: no cover - embedded data is fixed
         raise InvalidInputError("bundled histogram exceeds the bundled matrix")
-    protected = [
-        rank_pattern(OrdinalPattern(tuple(int(c) for c in digits)))
-        for digits in ("42013", "03421", "04312")
-    ]
+    protected = frozenset(_pattern_ids(5, ("42013", "03421", "04312")))
     caps = np.maximum(33 - base, 0)
-    extra = decompose_position_matrix(
-        residual, forbidden_ids=frozenset(protected), caps=caps
-    )
+    extra = decompose_position_matrix(residual, forbidden_ids=protected, caps=caps)
     counts = base + extra
     return PatternDistribution(
         order=5,

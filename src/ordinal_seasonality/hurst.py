@@ -73,10 +73,12 @@ def expected_rescaled_range(window: int) -> float:
 
 
 def _rescaled_range(values: np.ndarray, window: int) -> float | None:
-    """Mean R/S over the non-overlapping blocks of one window size."""
+    """Mean R/S over the non-overlapping blocks of one window size.
+
+    :func:`estimate_hurst` caps the window at a quarter of the series, so
+    there are at least four blocks.
+    """
     blocks = values.size // window
-    if blocks < 1:
-        return None
     segs = values[: blocks * window].reshape(blocks, window)
     segs = segs - segs.mean(axis=1, keepdims=True)
     profile = np.cumsum(segs, axis=1)
@@ -89,10 +91,8 @@ def _rescaled_range(values: np.ndarray, window: int) -> float | None:
 
 
 def _dfa_fluctuation(profile: np.ndarray, window: int) -> float | None:
-    """Root-mean-square order-1 detrended fluctuation at one window size."""
+    """Root-mean-square order-1 detrended fluctuation at one window size (at least four blocks)."""
     blocks = profile.size // window
-    if blocks < 1:
-        return None
     segs = profile[: blocks * window].reshape(blocks, window)
     t = np.arange(window, dtype=float)
     t_center = t - t.mean()

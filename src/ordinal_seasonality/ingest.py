@@ -1,5 +1,5 @@
 """Loading and preparing return series: CSV input, log returns, subperiod
-splits, shuffled surrogates, and calendar week partitioning."""
+splits, and calendar week partitioning."""
 
 from __future__ import annotations
 
@@ -236,10 +236,6 @@ class SubperiodSpec:
         object.__setattr__(self, "lengths", tuple(int(n) for n in self.lengths))
 
     @property
-    def count(self) -> int:
-        return len(self.lengths)
-
-    @property
     def total(self) -> int:
         return sum(self.lengths)
 
@@ -259,16 +255,6 @@ def split_subperiods(series: ReturnSeries, spec: SubperiodSpec) -> list[ReturnSe
         out.append(ReturnSeries(values=series.values[start:stop], dates=dates, label=f"{base}[{i}]"))
         start = stop
     return out
-
-
-def shuffle_series(series: ReturnSeries, seed: int) -> ReturnSeries:
-    """Uniform random permutation of the values; dates are dropped."""
-    if len(series) < 2:
-        raise InvalidInputError("need at least two values to shuffle")
-    rng = np.random.default_rng(seed)
-    values = series.values[rng.permutation(len(series))]
-    base = series.label or "series"
-    return ReturnSeries(values=values, dates=None, label=f"{base} (shuffled)")
 
 
 @dataclass

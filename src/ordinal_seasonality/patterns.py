@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, permutations
-from typing import Iterator
 
 import numpy as np
 
@@ -31,92 +30,11 @@ from .errors import InvalidInputError
 MAX_ORDER = 10
 
 
-@dataclass(frozen=True)
-class OrdinalPattern:
-    """Permutation of day offsets ordered from worst to best return."""
-
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        d = len(self.digits)
-        if d < 2:
-            raise InvalidInputError(f"pattern needs at least 2 digits, got {d}")
-        if d > MAX_ORDER:
-            raise InvalidInputError(f"pattern order {d} exceeds supported maximum {MAX_ORDER}")
-        if sorted(self.digits) != list(range(d)):
-            raise InvalidInputError(f"digits {self.digits} are not a permutation of 0..{d - 1}")
-        object.__setattr__(self, "digits", tuple(int(x) for x in self.digits))
-
-    @property
-    def order(self) -> int:
-        return len(self.digits)
-
-    def __str__(self) -> str:
-        return "".join(str(d) for d in self.digits)
-
-
 def _validate_order(order: int) -> int:
     order = int(order)
     if order < 2 or order > MAX_ORDER:
         raise InvalidInputError(f"order must be in 2..{MAX_ORDER}, got {order}")
     return order
-
-
-def _as_window(window) -> np.ndarray:
-    w = np.asarray(window, dtype=float)
-    if w.ndim != 1 or w.size < 2:
-        raise InvalidInputError("window must be a 1-d sequence of at least 2 values")
-    if w.size > MAX_ORDER:
-        raise InvalidInputError(f"window length {w.size} exceeds supported maximum {MAX_ORDER}")
-    if not np.all(np.isfinite(w)):
-        raise InvalidInputError("window contains non-finite values")
-    return w
-
-
-def encode_window(window) -> OrdinalPattern:
-    """Encode one window of returns into its ordinal pattern.
-
-    ``digits[j]`` is the index (day offset) of the j-th smallest value.
-    Of equal values the earlier day ranks lower; use
-    :func:`window_has_ties` to detect whether that rule was exercised.
-    """
-    w = _as_window(window)
-    digits = np.argsort(w, kind="stable")
-    return OrdinalPattern(tuple(int(x) for x in digits))
-
-
-def window_has_ties(window) -> bool:
-    """True when at least two values in the window are exactly equal."""
-    w = _as_window(window)
-    return bool(np.unique(w).size < w.size)
-
-
-def rank_pattern(pattern: OrdinalPattern) -> int:
-    """1-based lexicographic rank of the pattern's digit string."""
-    order = pattern.order
-    available = list(range(order))
-    rank = 0
-    for j, digit in enumerate(pattern.digits):
-        q = available.index(digit)
-        rank += q * math.factorial(order - 1 - j)
-        available.pop(q)
-    return rank + 1
-
-
-def unrank_pattern(pattern_id: int, order: int) -> OrdinalPattern:
-    """Inverse of :func:`rank_pattern` for the given order."""
-    order = _validate_order(order)
-    pattern_id = int(pattern_id)
-    if not 1 <= pattern_id <= math.factorial(order):
-        raise InvalidInputError(f"pattern id {pattern_id} out of range 1..{order}!")
-    rem = pattern_id - 1
-    available = list(range(order))
-    digits = []
-    for j in range(order):
-        f = math.factorial(order - 1 - j)
-        q, rem = divmod(rem, f)
-        digits.append(available.pop(q))
-    return OrdinalPattern(tuple(digits))
 
 
 @lru_cache(maxsize=None)
@@ -134,14 +52,8 @@ def pattern_table(order: int) -> np.ndarray:
     return table
 
 
-def all_patterns(order: int) -> Iterator[OrdinalPattern]:
-    """All D! patterns in id order."""
-    for digits in pattern_table(order).tolist():
-        yield OrdinalPattern(tuple(digits))
-
-
 def pattern_strings(order: int) -> list[str]:
-    """Digit strings of all D! patterns in id order, as ``str(OrdinalPattern)`` prints them."""
+    """Digit strings of all D! patterns in id order: ``"01234"`` is id 1 at order 5."""
     table = pattern_table(order)
     # one ASCII digit per cell (D <= 10), each row viewed as one byte string
     chars = (table + ord("0")).astype(np.uint8)
@@ -181,13 +93,14 @@ def _family_order(order: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def pattern_family(kind: PatternFamily, order: int = 5) -> frozenset[int]:
-    """Pattern ids in the family, for windows starting on Monday (day 0).
+def family_index(kind: PatternFamily, order: int) -> np.ndarray:
+    """Rows of the family's patterns in :func:`pattern_table`: a read-only, sorted int array.
 
     ``MONDAY_LARGEST`` selects patterns whose last digit is 0 (Monday holds
-    the best return of the week), (D-1)! ids.  ``MONDAY_WORST_FRIDAY_BEST``
-    selects first digit 0 and last digit D-1, (D-2)! ids.  Built once per
-    (kind, order); every caller shares the frozenset.
+    the best return of the week), (D-1)! rows.  ``MONDAY_WORST_FRIDAY_BEST``
+    selects first digit 0 and last digit D-1, (D-2)! rows.  Indexing
+    per-pattern counts with it gives the family's counts.  Built once per
+    (kind, order) and shared by every caller.
     """
     order = _family_order(order)
     table = pattern_table(order)
@@ -197,7 +110,18 @@ def pattern_family(kind: PatternFamily, order: int = 5) -> frozenset[int]:
         members = (table[:, 0] == 0) & (table[:, -1] == order - 1)
     else:  # pragma: no cover - enum is closed
         raise InvalidInputError(f"unknown family {kind!r}")
-    return frozenset((np.flatnonzero(members) + 1).tolist())
+    rows = np.flatnonzero(members)
+    rows.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=None)
+def pattern_family(kind: PatternFamily, order: int = 5) -> frozenset[int]:
+    """Pattern ids in the family, for windows starting on Monday (day 0).
+
+    The ids are :func:`family_index` + 1, built once per (kind, order).
+    """
+    return frozenset((family_index(kind, order) + 1).tolist())
 
 
 def family_share(kind: PatternFamily, order: int) -> float:
@@ -241,16 +165,6 @@ class PatternDistribution:
             raise InvalidInputError("ties_observed must be non-negative")
         self.counts = counts
         self.windows = int(self.windows)
-
-    def relative(self) -> np.ndarray:
-        """Relative frequency per pattern id."""
-        if self.windows == 0:
-            return np.zeros_like(self.counts, dtype=float)
-        return self.counts / float(self.windows)
-
-    def family_count(self, ids) -> int:
-        idx = np.asarray(sorted(ids), dtype=np.int64) - 1
-        return int(self.counts[idx].sum())
 
 
 def _pattern_codes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

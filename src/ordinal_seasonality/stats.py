@@ -25,6 +25,7 @@ from .errors import InvalidInputError
 from .patterns import (
     PatternDistribution,
     PatternFamily,
+    family_index,
     family_share,
     pattern_family,
     position_counts,
@@ -231,9 +232,10 @@ def binomial_test(p_e: float, p_o: float, weeks: int, payload: dict | None = Non
 def _family_test(dist: PatternDistribution, kind: PatternFamily) -> TestOutcome:
     if dist.windows <= 0:
         raise InvalidInputError("distribution has no windows")
-    family = pattern_family(kind, dist.order)
-    count = dist.family_count(family)
-    payload = {"kind": kind.value, "family_size": len(family), "family_count": count}
+    count = int(dist.counts[family_index(kind, dist.order)].sum())
+    # read through this module's name, which bench/tracer.py wraps as the patterns.family span
+    size = len(pattern_family(kind, dist.order))
+    payload = {"kind": kind.value, "family_size": size, "family_count": count}
     return binomial_test(family_share(kind, dist.order), count / dist.windows, dist.windows, payload)
 
 

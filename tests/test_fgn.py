@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -7,13 +9,20 @@ from ordinal_seasonality.fgn import (
     EnsembleConfig,
     FgnConfig,
     _fgn_circulant,
-    fbm_from_fgn,
     fgn_autocovariance,
     fgn_generate,
-    first_differences,
     replication_rng,
     run_ensemble,
+    shuffle_replication,
 )
+from ordinal_seasonality.ingest import load_csv
+from ordinal_seasonality.patterns import count_patterns
+from ordinal_seasonality.stats import position_matrix
+from ordinal_seasonality.stats import test_h1_pattern_uniformity as h1_test
+from ordinal_seasonality.stats import test_h2_day_rows as h2_test
+from ordinal_seasonality.stats import test_h3_position_columns as h3_test
+from ordinal_seasonality.stats import test_h4_monday_largest as h4_test
+from ordinal_seasonality.stats import test_h5_monday_worst_friday_best as h5_test
 from oracles import fgn_autocovariance_decimal, fgn_circulant_full_spectrum, fgn_hosking
 
 
@@ -172,19 +181,8 @@ def test_marginals_are_gaussian(hurst):
 
 
 # ---------------------------------------------------------------------------
-# motion path helpers
+# motion paths
 # ---------------------------------------------------------------------------
-
-
-def test_fbm_from_fgn_examples():
-    assert fbm_from_fgn(np.array([1.0, 1.0, 1.0])).values.tolist() == [1.0, 2.0, 3.0]
-
-
-def test_fbm_round_trip():
-    rng = np.random.default_rng(2)
-    noise = rng.standard_normal(500)
-    rebuilt = first_differences(fbm_from_fgn(noise)).values
-    assert np.allclose(rebuilt, noise, atol=1e-9)
 
 
 def test_fbm_variance_growth_exponent():
@@ -192,7 +190,7 @@ def test_fbm_variance_growth_exponent():
     paths = np.empty((reps, length))
     for r in range(reps):
         rng = replication_rng(99, r)
-        paths[r] = fbm_from_fgn(_fgn_circulant(length, hurst, rng)).values
+        paths[r] = np.cumsum(_fgn_circulant(length, hurst, rng))
     times = np.unique(np.geomspace(10, length, 12).astype(int))
     var = paths[:, times - 1].var(axis=0)
     slope = np.polyfit(np.log(times), np.log(var), 1)[0]
@@ -261,3 +259,39 @@ def test_ensemble_h5_direction_by_persistence():
         jobs=2,
     )
     assert antipersistent.h5.mean_observed_frequency < 0.05
+
+
+# ---------------------------------------------------------------------------
+# shuffle replications
+# ---------------------------------------------------------------------------
+
+
+def _shuffle_input(source: str) -> np.ndarray:
+    if source == "ties":
+        path = Path(__file__).parent / "goldens" / "ties.csv.gz"
+        return load_csv(path, return_column="ret").values
+    return np.random.default_rng(3).standard_normal(2000)
+
+
+def _tests_on(values: np.ndarray, order: int):
+    """Counts and p-values of the five tests in replication order: H1, H2 rows, H3 columns, H4, H5."""
+    dist = count_patterns(values, order=order, stride=order)
+    matrix = position_matrix(dist)
+    outcomes = [h1_test(dist), *h2_test(matrix), *h3_test(matrix), h4_test(dist), h5_test(dist)]
+    return dist.counts, [outcome.p_value for outcome in outcomes]
+
+
+@pytest.mark.parametrize("source", ["tie-free", "ties"])
+def test_shuffle_replication_tests_the_permutation_of_its_stream(source):
+    values = _shuffle_input(source)
+    original = values.copy()
+    results = []
+    for index in (0, 1, 7):
+        counts, p_values = shuffle_replication(values, 5, 11, index)
+        permutation = replication_rng(11, index).permutation(values.size)
+        want_counts, want_p = _tests_on(values[permutation], 5)
+        assert counts.dtype == want_counts.dtype and counts.tobytes() == want_counts.tobytes()
+        assert p_values.tolist() == want_p
+        results.append(counts)
+    assert np.array_equal(values, original)  # the input is shuffled as a copy
+    assert all(not np.array_equal(a, b) for a, b in zip(results, results[1:] + results[:1]))

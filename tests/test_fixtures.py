@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
+from ordinal_seasonality.errors import InvalidInputError
 from ordinal_seasonality.fixtures import (
     NYSE_PATTERN_COUNTS,
     NYSE_POSITION_MATRIX,
     NYSE_SHUFFLED_POSITION_MATRIX,
+    _pattern_counts_array,
     decompose_position_matrix,
     nyse_fixture_distribution,
     nyse_shuffled_distribution,
     series_from_distribution,
 )
-from ordinal_seasonality.patterns import count_patterns, unrank_pattern
+from ordinal_seasonality.patterns import count_patterns, pattern_strings
 from ordinal_seasonality.stats import (
     chi2_statistic,
     position_matrix,
@@ -32,6 +34,12 @@ def test_bundled_histogram_is_complete():
     assert sum(NYSE_PATTERN_COUNTS.values()) == 2440
 
 
+@pytest.mark.parametrize("digits", ["0123", "01233", "012345", "0123a"])
+def test_histogram_keys_must_be_patterns_of_the_order(digits):
+    with pytest.raises(InvalidInputError, match="is not a pattern of order 5"):
+        _pattern_counts_array(5, {"01234": 3, digits: 1})
+
+
 def test_fixture_matches_bundled_matrix():
     dist = nyse_fixture_distribution()
     assert dist.windows == 2710
@@ -44,9 +52,10 @@ def test_fixture_preserves_extremes():
     min_ids = np.flatnonzero(dist.counts == dist.counts.min()) + 1
     max_ids = np.flatnonzero(dist.counts == dist.counts.max()) + 1
     assert dist.counts.min() == 7
-    assert [str(unrank_pattern(int(i), 5)) for i in min_ids] == ["42013"]
+    strings = pattern_strings(5)
+    assert [strings[i - 1] for i in min_ids] == ["42013"]
     assert dist.counts.max() == 34
-    assert sorted(str(unrank_pattern(int(i), 5)) for i in max_ids) == ["03421", "04312"]
+    assert sorted(strings[i - 1] for i in max_ids) == ["03421", "04312"]
 
 
 def test_fixture_row_and_column_q():

@@ -20,7 +20,6 @@ from ordinal_seasonality.ingest import (
     calendar_weeks,
     load_csv,
     log_returns,
-    shuffle_series,
     split_subperiods,
     _load_rows,
 )
@@ -310,29 +309,6 @@ def test_split_preserves_dates():
     parts = split_subperiods(series, SubperiodSpec((4, 6)))
     assert np.array_equal(parts[0].dates, np.array(dates[:4], dtype="datetime64[D]"))
     assert np.array_equal(parts[1].dates, np.array(dates[4:], dtype="datetime64[D]"))
-
-
-# ---------------------------------------------------------------------------
-# shuffle
-# ---------------------------------------------------------------------------
-
-
-def test_shuffle_preserves_multiset_and_length():
-    rng = np.random.default_rng(11)
-    series = ReturnSeries(values=rng.standard_normal(501))
-    shuffled = shuffle_series(series, seed=7)
-    assert len(shuffled) == len(series)
-    assert np.array_equal(np.sort(shuffled.values), np.sort(series.values))
-    assert shuffled.dates is None
-
-
-def test_shuffle_deterministic_per_seed():
-    series = ReturnSeries(values=np.arange(100, dtype=float))
-    a = shuffle_series(series, seed=1).values
-    b = shuffle_series(series, seed=1).values
-    c = shuffle_series(series, seed=2).values
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
 
 
 # ---------------------------------------------------------------------------

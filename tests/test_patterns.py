@@ -8,55 +8,57 @@ from hypothesis import strategies as st
 
 from ordinal_seasonality.errors import InvalidInputError
 from ordinal_seasonality.patterns import (
-    OrdinalPattern,
     PatternFamily,
     _pattern_codes,
-    all_patterns,
     count_patterns,
     count_windows,
-    encode_window,
+    family_index,
     pattern_family,
     pattern_strings,
     pattern_table,
     position_counts,
-    rank_pattern,
-    unrank_pattern,
-    window_has_ties,
 )
 from oracles import family_ids_by_enumeration, lexicographic_rank, position_counts_by_loop
 
 
 # ---------------------------------------------------------------------------
-# encoding
+# encoding: the kernel ranks a window, the table unranks an id
 # ---------------------------------------------------------------------------
+
+
+def _ids(windows) -> list[int]:
+    """The kernel's 1-based id of each window."""
+    return (_pattern_codes(np.asarray(windows, dtype=float))[0] + 1).tolist()
 
 
 def test_encode_week_with_monday_worst():
     # Mo < Fr < Tu < Th < We
-    assert encode_window((-2.0, 0.5, 3.0, 1.0, -1.0)).digits == (0, 4, 1, 3, 2)
+    (pattern_id,) = _ids([(-2.0, 0.5, 3.0, 1.0, -1.0)])
+    assert pattern_strings(5)[pattern_id - 1] == "04132"
 
 
 def test_encode_monotone_windows():
-    assert encode_window((1, 2, 3, 4, 5)).digits == (0, 1, 2, 3, 4)
-    assert encode_window((5, 4, 3, 2, 1)).digits == (4, 3, 2, 1, 0)
+    assert _ids([(1, 2, 3, 4, 5), (5, 4, 3, 2, 1)]) == [1, 120]
 
 
 def test_encode_tie_earlier_index_ranks_lower():
-    assert encode_window((1.0, 1.0, 2.0, 3.0, 4.0)).digits == (0, 1, 2, 3, 4)
+    dist = count_windows([(1.0, 1.0, 2.0, 3.0, 4.0)])
+    assert dist.counts[0] == 1 and dist.ties_observed == 1
 
 
 def test_window_has_ties():
-    assert window_has_ties((1.0, 1.0, 2.0))
-    assert not window_has_ties((1.0, 1.5, 2.0))
+    # the kernel's tie flag needs exactly equal values; the next double up is no tie
+    _, tied = _pattern_codes(np.array([(1.0, 1.0, 2.0), (1.0, 1.0 + 2**-52, 2.0)]))
+    assert tied.tolist() == [True, False]
 
 
 def test_encode_rejects_bad_windows():
-    with pytest.raises(InvalidInputError):
-        encode_window((1.0,))
-    with pytest.raises(InvalidInputError):
-        encode_window((1.0, float("nan"), 2.0))
-    with pytest.raises(InvalidInputError):
-        encode_window((1.0, float("inf"), 2.0))
+    for bad in (np.ones((3, 1)), np.ones((3, 11)), np.ones((0, 5))):
+        with pytest.raises(InvalidInputError):
+            count_windows(bad)
+    for value in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            count_windows([(1.0, value, 2.0)])
 
 
 @settings(max_examples=200)
@@ -72,14 +74,8 @@ def test_encode_invariant_under_monotone_transforms(scaled):
     # integer grid / 100 keeps values far enough apart that exp() cannot
     # collapse distinct inputs to the same double
     window = np.asarray(scaled, dtype=float) / 100.0
-    base = encode_window(window)
-    assert encode_window(np.exp(window / 200.0)) == base
-    assert encode_window(3.0 * window + 7.0) == base
-
-
-# ---------------------------------------------------------------------------
-# rank / unrank
-# ---------------------------------------------------------------------------
+    dist = count_windows(np.stack([window, np.exp(window / 200.0), 3.0 * window + 7.0]))
+    assert np.count_nonzero(dist.counts) == 1 and dist.ties_observed == 0
 
 
 @pytest.mark.parametrize(
@@ -93,35 +89,22 @@ def test_encode_invariant_under_monotone_transforms(scaled):
     ],
 )
 def test_rank_known_ids(digits, expected_id):
-    assert rank_pattern(OrdinalPattern(digits)) == expected_id
+    window = np.empty(5)
+    window[list(digits)] = np.arange(5)  # the day at rank r gets value r
+    assert _ids([window]) == [expected_id]
+    assert lexicographic_rank(digits, 5) == expected_id
 
 
 def test_unrank_known_ids():
-    assert unrank_pattern(7, 5).digits == (0, 2, 1, 3, 4)
-    assert unrank_pattern(1, 5).digits == (0, 1, 2, 3, 4)
-
-
-def test_unrank_out_of_range():
-    with pytest.raises(InvalidInputError):
-        unrank_pattern(0, 5)
-    with pytest.raises(InvalidInputError):
-        unrank_pattern(121, 5)
+    assert pattern_strings(5)[7 - 1] == "02134"
+    assert pattern_strings(5)[1 - 1] == "01234"
 
 
 @pytest.mark.parametrize("order", range(2, 9))
 def test_rank_unrank_bijection_exhaustive(order):
-    for pattern_id in range(1, math.factorial(order) + 1):
-        assert rank_pattern(unrank_pattern(pattern_id, order)) == pattern_id
-
-
-def test_rank_matches_enumeration_oracle():
-    for perm in permutations(range(5)):
-        assert rank_pattern(OrdinalPattern(perm)) == lexicographic_rank(perm, 5)
-
-
-def test_all_patterns_in_id_order():
-    for k, pattern in enumerate(all_patterns(4), start=1):
-        assert rank_pattern(pattern) == k
+    # day i of the window built from row k gets its rank in that row, so the row is its pattern
+    windows = np.argsort(pattern_table(order), axis=1)
+    assert _ids(windows) == list(range(1, math.factorial(order) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +117,7 @@ def test_table_rows_are_sorted_permutations_with_consecutive_ranks(order):
     table = pattern_table(order)
     assert table.dtype == np.int8 and not table.flags.writeable
     assert [tuple(row) for row in table.tolist()] == sorted(permutations(range(order)))
-    ranks = [rank_pattern(OrdinalPattern(tuple(row))) for row in table.tolist()]
+    ranks = [lexicographic_rank(row, order) for row in table.tolist()]
     assert ranks == list(range(1, math.factorial(order) + 1))
     assert pattern_strings(order) == ["".join(map(str, row)) for row in table.tolist()]
 
@@ -152,6 +135,10 @@ def test_table_position_counts_equal_the_loop_bit_for_bit(order):
 
 @pytest.mark.parametrize("order", range(3, 8))
 def test_table_families_equal_enumeration(order):
+    for kind in PatternFamily:
+        rows = family_index(kind, order)
+        assert not rows.flags.writeable and (np.diff(rows) > 0).all()
+        assert pattern_family(kind, order) == set((rows + 1).tolist())
     assert pattern_family(PatternFamily.MONDAY_LARGEST, order) == family_ids_by_enumeration(
         order, lambda p: p[-1] == 0
     )
@@ -225,11 +212,8 @@ def test_vectorized_counting_matches_scalar_path():
     rng = np.random.default_rng(77)
     values = rng.standard_normal(400)
     dist = count_patterns(values, order=4, stride=4)
-    expected = np.zeros(24, dtype=np.int64)
-    for start in range(0, 400, 4):
-        pattern = encode_window(values[start : start + 4])
-        expected[rank_pattern(pattern) - 1] += 1
-    assert np.array_equal(dist.counts, expected)
+    ids, _ = _oracle_ids_and_ties(values.reshape(100, 4))
+    assert np.array_equal(dist.counts, np.bincount(np.asarray(ids) - 1, minlength=24))
 
 
 @pytest.mark.parametrize("order", [2, 3, 5, 7])
@@ -238,23 +222,19 @@ def test_strided_counting_of_tied_data_matches_a_window_loop(order):
     for stride in range(1, order + 2):
         dist = count_patterns(values, order=order, stride=stride)
         starts = range(0, values.size - order + 1, stride)
-        expected = np.zeros(math.factorial(order), dtype=np.int64)
-        ties = 0
-        for start in starts:
-            window = values[start : start + order]
-            expected[rank_pattern(encode_window(window)) - 1] += 1
-            ties += window_has_ties(window)
+        ids, ties = _oracle_ids_and_ties(np.array([values[start : start + order] for start in starts]))
+        expected = np.bincount(np.asarray(ids) - 1, minlength=math.factorial(order))
         assert np.array_equal(dist.counts, expected)
-        assert dist.ties_observed == ties > 0
+        assert dist.ties_observed == sum(ties) > 0
         assert dist.dropped_points == values.size - (starts[-1] + order)
 
 
 def _oracle_ids_and_ties(windows):
-    """Stable argsort and enumeration rank per window, ties from ``window_has_ties``."""
+    """Stable argsort and enumeration rank per window; a tie is a repeated value."""
     order = windows.shape[1]
     digits = np.argsort(windows, axis=1, kind="stable").tolist()
     ids = [lexicographic_rank(row, order) for row in digits]
-    return ids, [window_has_ties(w) for w in windows]
+    return ids, [np.unique(w).size < w.size for w in windows]
 
 
 @pytest.mark.parametrize("order", range(2, 9))
@@ -300,7 +280,7 @@ def test_uniformity_on_iid_noise():
     assert n_w == 120_000
     p = 1.0 / 120.0
     se = math.sqrt(p * (1 - p) / n_w)
-    deviations = np.abs(dist.relative() - p)
+    deviations = np.abs(dist.counts / dist.windows - p)
     assert deviations.max() <= 5.0 * se
 
 

@@ -1,5 +1,8 @@
-"""What callers outside the package rely on: README's library example and
-the module attributes the benchmark tracer patches.
+"""What callers outside the package rely on: the exported names, README's
+library example and the module attributes the benchmark tracer patches.
+
+The exported names are listed here in full, so adding or dropping one is
+a visible edit of this file.
 
 ``bench/tracer.py`` wraps names in the ``cli``, ``fgn`` and ``stats``
 namespaces by ``getattr``, so a refactor that drops one of them breaks
@@ -17,7 +20,56 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ordinal_seasonality
+
 ROOT = Path(__file__).resolve().parent.parent
+
+PUBLIC_NAMES = [
+    "DegenerateSeriesError",
+    "EnsembleConfig",
+    "FgnConfig",
+    "HurstEstimate",
+    "HurstMethod",
+    "InvalidInputError",
+    "OrderError",
+    "OrdinalSeasonalityError",
+    "PatternDistribution",
+    "PatternFamily",
+    "RejectedRowError",
+    "ReturnSeries",
+    "SchemaError",
+    "SimulationReport",
+    "SubperiodSpec",
+    "TestOutcome",
+    "binomial_test",
+    "calendar_weeks",
+    "chi2_sf",
+    "chi2_statistic",
+    "count_patterns",
+    "count_windows",
+    "estimate_hurst",
+    "family_share",
+    "fgn_autocovariance",
+    "fgn_generate",
+    "load_csv",
+    "log_returns",
+    "normal_sf",
+    "pattern_family",
+    "position_matrix",
+    "run_ensemble",
+    "split_subperiods",
+    "test_h1_pattern_uniformity",
+    "test_h2_day_rows",
+    "test_h3_position_columns",
+    "test_h4_monday_largest",
+    "test_h5_monday_worst_friday_best",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(ordinal_seasonality.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(ordinal_seasonality, name, None) is not None, name
 
 
 def _load_tracer():
