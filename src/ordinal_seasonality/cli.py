@@ -94,50 +94,96 @@ def format_float(x: float) -> str:
     return f"{float(x):.5f}"
 
 
-def _emit_json(obj, out: list[str], pad: str, indent: str) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        out.append("null" if not math.isfinite(x) else format_float(x))
-    elif isinstance(obj, dict):
+def _json_float(x) -> str:
+    x = float(x)
+    return format_float(x) if math.isfinite(x) else "null"
+
+
+_encode_string = json.encoder.encode_basestring_ascii  # what json.dumps(str) calls
+
+# JSON text of the plain value types, looked up by exact type
+_JSON_PLAIN = {
+    type(None): lambda _: "null",
+    bool: lambda b: "true" if b else "false",
+    int: int.__repr__,
+    float: _json_float,
+    str: _encode_string,
+}
+
+
+def _json_scalar(obj) -> str:
+    """JSON text of a plain value, a subclass of one or a numpy number."""
+    plain = _JSON_PLAIN.get(type(obj))
+    if plain is not None:
+        return plain(obj)
+    if isinstance(obj, str):
+        return _encode_string(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _json_float(obj)
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _emit(obj, pad: str, out: list[str], heads: dict[str, dict[str, str]]) -> None:
+    """Append the JSON text of ``obj`` to ``out``; recurses into containers only.
+
+    ``heads`` maps an indent to each key's encoded ``indent "key": `` prefix,
+    so a key repeated across rows is encoded once.
+    """
+    if isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
+        inner = pad + "  "
+        prefixes = heads.get(inner)
+        if prefixes is None:
+            prefixes = heads[inner] = {}
         out.append("{\n")
-        inner = pad + indent
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(f"{inner}{json.dumps(str(key))}: ")
-            _emit_json(value, out, inner, indent)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
+        for key, value in obj.items():
+            if type(key) is not str:
+                key = str(key)
+            head = prefixes.get(key)
+            if head is None:
+                head = prefixes[key] = f"{inner}{_encode_string(key)}: "
+            plain = _JSON_PLAIN.get(type(value))
+            if plain is not None:
+                out.append(head + plain(value))
+            else:
+                out.append(head)
+                _emit(value, inner, out, heads)
+            out.append(",\n")
+        out[-1] = f"\n{pad}}}"  # the last item takes no comma
     elif isinstance(obj, (list, tuple)):
-        if not len(obj):
+        if not obj:
             out.append("[]")
             return
+        inner = pad + "  "
         out.append("[\n")
-        inner = pad + indent
-        for i, value in enumerate(obj):
-            out.append(inner)
-            _emit_json(value, out, inner, indent)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
+        for value in obj:
+            plain = _JSON_PLAIN.get(type(value))
+            if plain is not None:
+                out.append(inner + plain(value))
+            else:
+                out.append(inner)
+                _emit(value, inner, out, heads)
+            out.append(",\n")
+        out[-1] = f"\n{pad}]"
     else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+        out.append(_json_scalar(obj))
 
 
 def dumps(obj) -> str:
-    """Canonical JSON: insertion-ordered keys, >= 5 decimals on floats."""
+    """Canonical JSON of a report, ending in a newline.
+
+    The layout is ``json.dumps(obj, indent=2)``'s: keys in insertion order,
+    non-ASCII escaped, tuples as lists, ``{}`` and ``[]`` for empty
+    containers.  Floats, numpy's included, are written by
+    :func:`format_float`, and non-finite ones as ``null``; numpy integers as
+    ints.  Any other type raises :class:`TypeError`.
+    """
     out: list[str] = []
-    _emit_json(obj, out, "", "  ")
+    _emit(obj, "", out, {})
     out.append("\n")
     return "".join(out)
 
@@ -154,7 +200,7 @@ def _csv_scalar(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     text = str(value)
-    if any(ch in text for ch in ",\"\n"):
+    if any(ch in text for ch in ",\"\n\r"):
         text = '"' + text.replace('"', '""') + '"'
     return text
 

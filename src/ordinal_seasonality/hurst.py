@@ -57,7 +57,7 @@ def window_grid(min_window: int, max_window: int, ratio: float = GRID_RATIO) -> 
     while round(w) <= max_window:
         sizes.append(int(round(w)))
         w *= ratio
-    return np.unique(np.asarray(sizes, dtype=int))
+    return np.asarray(sorted(set(sizes)), dtype=int)
 
 
 @lru_cache(maxsize=256)

@@ -7,6 +7,7 @@ import csv
 import gzip
 import io
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from datetime import date
@@ -111,30 +112,43 @@ def _iso_dates(cells: np.ndarray) -> np.ndarray | None:
     return first + (day - 1)
 
 
+# numpy opens a path with these suffixes through a decompressor; load_csv reads them as text
+_NUMPY_DECOMPRESSED = (".bz2", ".xz", ".lzma")
+
+
 def _load_bulk(path: Path, value_column: str, date_column: str | None, delimiter: str):
     """Values and dates parsed in bulk, or None where the row loop might differ.
 
+    The header is read with :mod:`csv`; numpy then reads the data rows from
+    the path itself, which it parses in C chunks rather than line by line.
     Any parse error, short row, non-finite value, date not exactly
-    ``YYYY-MM-DD``, order break or NUL byte gives None.
+    ``YYYY-MM-DD``, order break, NUL byte or header over more than one line
+    gives None, as does a suffix numpy would decompress.
     """
+    if path.suffix in _NUMPY_DECOMPRESSED:
+        return None
     try:
         if _has_nul(path):  # fixed-width date bytes cannot show a trailing NUL
             return None
         with _open_text(path) as handle:
             reader = csv.reader(handle, delimiter=delimiter)
             _, vcol, dcol = _read_header(reader, path, value_column, date_column)
-            fields = [("value", "f8")] + ([("date", f"S{_ISO_WIDTH}")] if dcol is not None else [])
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # numpy warns about a file with no data rows
-                table = np.loadtxt(
-                    handle,
-                    dtype=fields,
-                    delimiter=delimiter,
-                    usecols=(vcol,) if dcol is None else (vcol, dcol),
-                    comments=None,
-                    quotechar='"',
-                    ndmin=1,
-                )
+            if reader.line_num != 1:  # skiprows counts lines, not records
+                return None
+        fields = [("value", "f8")] + ([("date", f"S{_ISO_WIDTH}")] if dcol is not None else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy warns about a file with no data rows
+            table = np.loadtxt(
+                os.fspath(path),
+                dtype=fields,
+                delimiter=delimiter,
+                usecols=(vcol,) if dcol is None else (vcol, dcol),
+                comments=None,
+                quotechar='"',
+                skiprows=1,
+                encoding="utf-8-sig",
+                ndmin=1,
+            )
     except (ValueError, OSError, EOFError):
         return None
     values = table["value"].copy()
@@ -197,9 +211,10 @@ def load_csv(
 
     The columns are parsed in bulk.  When that fails, or a value is not
     finite, a date is not exactly ``YYYY-MM-DD``, the dates do not strictly
-    increase, or the file holds a NUL character, the file is read again
-    row by row, which gives the same result or raises :class:`SchemaError`
-    or :class:`OrderError` naming the 1-based data row.
+    increase, the file holds a NUL character, the header spans more than
+    one line or the name ends in ``.bz2``, ``.xz`` or ``.lzma``, the file
+    is read row by row, which gives the same result or raises
+    :class:`SchemaError` or :class:`OrderError` naming the 1-based data row.
     """
     if (price_column is None) == (return_column is None):
         raise SchemaError("exactly one of price_column and return_column is required")

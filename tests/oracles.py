@@ -3,20 +3,22 @@
 Everything here is deliberately written from scratch (adaptive Simpson
 quadrature over hand-coded densities, brute-force enumeration, 60-digit
 decimal arithmetic, the Hosking recursion, the full-spectrum circulant
-draw) so that the library code paths being tested share nothing with the
-values they are checked against.  The one exception is named where it
-occurs.
+draw, the per-node JSON writer) so that the library code paths being
+tested share nothing with the values they are checked against.  The
+exceptions are named where they occur.
 """
 
 from __future__ import annotations
 
 import decimal
+import json
 import math
 from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
+from ordinal_seasonality.cli import format_float
 from ordinal_seasonality.fgn import fgn_autocovariance
 
 
@@ -205,3 +207,55 @@ def fgn_circulant_full_spectrum(length: int, hurst: float, rng: np.random.Genera
     w[n] = sqrt_eig[n] / math.sqrt(m) * g2[0]
     w[m - k] = scale * (g1[k] - 1j * g2[k])
     return np.fft.fft(w)[:n].real
+
+
+def _emit_json(obj, out: list[str], pad: str, indent: str) -> None:
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        out.append("null" if not math.isfinite(x) else format_float(x))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        inner = pad + indent
+        for i, (key, value) in enumerate(obj.items()):
+            out.append(f"{inner}{json.dumps(str(key))}: ")
+            _emit_json(value, out, inner, indent)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not len(obj):
+            out.append("[]")
+            return
+        out.append("[\n")
+        inner = pad + indent
+        for i, value in enumerate(obj):
+            out.append(inner)
+            _emit_json(value, out, inner, indent)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(pad + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def dumps_by_recursion(obj) -> str:
+    """The report JSON writer, one recursive call and one ``json.dumps`` per node.
+
+    Floats go through the library's ``format_float``: the oracle checks the
+    layout and escaping, not the float text.
+    """
+    out: list[str] = []
+    _emit_json(obj, out, "", "  ")
+    out.append("\n")
+    return "".join(out)

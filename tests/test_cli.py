@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -7,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordinal_seasonality
 import ordinal_seasonality.cli as cli
 from ordinal_seasonality.fixtures import nyse_fixture_distribution, series_from_distribution
+from oracles import dumps_by_recursion
 
 # the child imports the package this test imported, installed or not
 PACKAGE_ROOT = str(Path(ordinal_seasonality.__file__).resolve().parent.parent)
@@ -328,6 +334,28 @@ def test_hurst_command(fixture_csv):
     assert doc["estimate"]["method"] == "rs"
 
 
+def test_hurst_runs_do_not_import_numpy_ma(fixture_csv, tmp_path):
+    # numpy.ma costs 12-22 ms to import; np.unique is one function that loads it
+    code = (
+        "import json, sys\n"
+        "from ordinal_seasonality.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    common = ["--input", str(fixture_csv), "--column", "ret", "--output", str(tmp_path / "report.json")]
+    runs = [["analyze", "--hurst", *common], ["hurst", "--method", "dfa", *common]]
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("method", ["rs", "dfa"])
 def test_hurst_on_constant_column_exits_2(method, tmp_path, capsys):
     path = tmp_path / "flat.csv"
@@ -402,6 +430,55 @@ def test_json_round_trip(returns_csv):
     out = run_cli("analyze", "--input", str(returns_csv), "--column", "ret")
     doc = json.loads(out.stdout)
     assert json.loads(cli.dumps(doc)) == doc
+
+
+_TEXT = st.text() | st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\r\n\t", "é", "\u2028", "\ud800", "😀", ""])
+_NUMBERS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308, 1e16, 1e-5, np.float32(0.1), np.float64(1 / 3)]
+)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.floats()
+    | st.floats(width=32).map(np.float32)
+    | _NUMBERS
+    | _TEXT
+)
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT | st.integers(-3, 3), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCUMENTS)
+def test_dumps_matches_per_node_oracle(doc):
+    assert cli.dumps(doc) == dumps_by_recursion(doc)
+
+
+def test_dumps_matches_oracle_on_repeated_keys_at_several_depths():
+    rows = [{"id": k, "pattern": "01234", "count": k % 3, "nested": {"id": -k, "x": [{}, []]}} for k in range(4)]
+    doc = {"id": 0, "rows": rows, "more": {"rows": rows, "id": {"id": (1, [2, ()])}}}
+    assert cli.dumps(doc) == dumps_by_recursion(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [set(), np.bool_(True), object()], ids=["set", "np-bool", "object"])
+@pytest.mark.parametrize("where", ["top", "dict", "list"])
+def test_dumps_rejects_unsupported_values(value, where):
+    doc = {"top": value, "dict": {"a": {"b": value}}, "list": [1, [value]]}[where]
+    with pytest.raises(TypeError, match=re.escape(f"cannot serialize {type(value)!r}")):
+        cli.dumps(doc)
+
+
+def test_flat_csv_round_trips_line_breaks_and_quotes():
+    doc = {"label": "a\rb", "path": "c\nd", "note": 'x,"y"', "mixed": "e\r\nf", "plain": "z"}
+    rows = list(csv.reader(io.StringIO(cli.to_flat_csv(doc), newline="")))
+    assert rows == [["key", "value"], *([key, value] for key, value in doc.items())]
 
 
 _FLOAT_TOKEN = re.compile(r"-?\d+\.\d+(?:[eE][+-]?\d+)?")

@@ -2,6 +2,7 @@ import gzip
 import math
 import warnings
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +22,11 @@ from ordinal_seasonality.ingest import (
     load_csv,
     log_returns,
     split_subperiods,
+    _load_bulk,
     _load_rows,
 )
+
+GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 
 def _write(tmp_path, name, text):
@@ -236,6 +240,42 @@ def test_bulk_parse_matches_row_loop_on_every_special_line(tmp_path):
             lines.insert(position, line)
             path.write_text(_render_csv(lines, ["date", "close", "note"], "\r\n"), encoding="utf-8")
             _assert_bulk_matches_rows(path, "date")
+
+
+@pytest.mark.parametrize("dated", [True, False], ids=["dated", "undated"])
+def test_header_with_quoted_newline_loads_as_row_loop(tmp_path, dated):
+    # numpy skips one physical line, which here ends inside the header, so it
+    # would read the header's second line as a row
+    text = 'date,close,"note\n2020-01-03,9.5,x"\n2020-01-06,1.5,"a\n"",b"\n2020-01-07,2.5,c\n2020-01-08,3.5,d\n'
+    path = _write(tmp_path, "header.csv", text)
+    date_column = "date" if dated else None
+    assert _load_bulk(path, "close", date_column, ",") is None
+    _assert_bulk_matches_rows(path, date_column)
+    assert load_csv(path, date_column=date_column, return_column="close").values.tolist() == [1.5, 2.5, 3.5]
+
+
+@pytest.mark.parametrize(
+    ("name", "value_column", "date_column"),
+    [("prices.csv.gz", "close", "date"), ("dated.csv", "ret", "date"), ("dated.csv", "ret", None)],
+)
+def test_golden_inputs_take_the_bulk_path(name, value_column, date_column):
+    path = GOLDENS / name
+    values, dates = _load_bulk(path, value_column, date_column, ",")
+    expected_values, expected_dates = _load_rows(path, value_column, date_column)
+    assert values.tobytes() == expected_values.tobytes()
+    if date_column is None:
+        assert dates is None
+    else:
+        assert dates.tolist() == expected_dates
+
+
+@pytest.mark.parametrize("suffix", [".bz2", ".xz", ".lzma"])
+def test_plain_text_with_a_numpy_compression_suffix_loads(tmp_path, suffix):
+    path = _write(tmp_path, f"returns.csv{suffix}", "date,ret\n2020-01-06,0.1\n2020-01-07,-0.2\n")
+    assert _load_bulk(path, "ret", "date", ",") is None
+    series = load_csv(path, date_column="date", return_column="ret")
+    assert series.values.tolist() == [0.1, -0.2]
+    assert series.dates.tolist() == [date(2020, 1, 6), date(2020, 1, 7)]
 
 
 # ---------------------------------------------------------------------------
