@@ -71,6 +71,14 @@ CASES = {
     "shuffle-ties.json": [
         "shuffle", "--input", TIES, "--column", "ret", "--d", "3", "--reps", "6", "--seed", "5",
     ],
+    # flat CSV: null, true/false, ints, floats, strings and nested lists
+    "analyze-d6.csv": [
+        "analyze", "--input", RETURNS, "--column", "ret", "--d", "6", "--format", "csv",
+    ],
+    "shuffle-ties-d2.csv": [
+        "shuffle", "--input", TIES, "--column", "ret", "--d", "2", "--reps", "4", "--seed", "5",
+        "--format", "csv",
+    ],
     "patterns-d4.csv": ["patterns", "--d", "4"],
     "patterns-family.csv": ["patterns", "--d", "5", "--family", "monday-worst-friday-best"],
 }
