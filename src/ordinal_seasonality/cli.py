@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 import traceback
 from functools import partial
@@ -125,11 +126,20 @@ def _json_scalar(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _emit(obj, pad: str, out: list[str], heads: dict[str, dict[str, str]]) -> None:
+# a writer joins its fragment buffer into one chunk string once the buffer
+# holds more than this many fragments, so no report is ever held as many
+# small strings at once
+_CHUNK_FRAGMENTS = 1024
+
+
+def _emit(obj, pad: str, out: list[str], chunks: list[str], heads: dict[str, dict[str, str]]) -> None:
     """Append the JSON text of ``obj`` to ``out``; recurses into containers only.
 
-    ``heads`` maps an indent to each key's encoded ``indent "key": `` prefix,
-    so a key repeated across rows is encoded once.
+    Each item goes in with its separator in front.  After each item of a
+    container, a buffer of more than ``_CHUNK_FRAGMENTS`` fragments is
+    joined onto ``chunks`` and cleared.  ``heads`` maps an indent to each
+    key's encoded ``indent "key": `` prefix, so a key repeated across rows
+    is encoded once.
     """
     if isinstance(obj, dict):
         if not obj:
@@ -139,7 +149,7 @@ def _emit(obj, pad: str, out: list[str], heads: dict[str, dict[str, str]]) -> No
         prefixes = heads.get(inner)
         if prefixes is None:
             prefixes = heads[inner] = {}
-        out.append("{\n")
+        sep = "{\n"
         for key, value in obj.items():
             if type(key) is not str:
                 key = str(key)
@@ -148,27 +158,34 @@ def _emit(obj, pad: str, out: list[str], heads: dict[str, dict[str, str]]) -> No
                 head = prefixes[key] = f"{inner}{_encode_string(key)}: "
             plain = _JSON_PLAIN.get(type(value))
             if plain is not None:
-                out.append(head + plain(value))
+                out.append(f"{sep}{head}{plain(value)}")
             else:
-                out.append(head)
-                _emit(value, inner, out, heads)
-            out.append(",\n")
-        out[-1] = f"\n{pad}}}"  # the last item takes no comma
+                out.append(sep + head)
+                _emit(value, inner, out, chunks, heads)
+            sep = ",\n"
+            if len(out) > _CHUNK_FRAGMENTS:
+                chunks.append("".join(out))
+                out.clear()
+        out.append(f"\n{pad}}}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
         inner = pad + "  "
-        out.append("[\n")
+        sep = f"[\n{inner}"
+        comma = f",\n{inner}"
         for value in obj:
             plain = _JSON_PLAIN.get(type(value))
             if plain is not None:
-                out.append(inner + plain(value))
+                out.append(sep + plain(value))
             else:
-                out.append(inner)
-                _emit(value, inner, out, heads)
-            out.append(",\n")
-        out[-1] = f"\n{pad}]"
+                out.append(sep)
+                _emit(value, inner, out, chunks, heads)
+            sep = comma
+            if len(out) > _CHUNK_FRAGMENTS:
+                chunks.append("".join(out))
+                out.clear()
+        out.append(f"\n{pad}]")
     else:
         out.append(_json_scalar(obj))
 
@@ -181,50 +198,99 @@ def dumps(obj) -> str:
     containers.  Floats, numpy's included, are written by
     :func:`format_float`, and non-finite ones as ``null``; numpy integers as
     ints.  Any other type raises :class:`TypeError`.
+
+    Memory: the text is built in chunks of about ``_CHUNK_FRAGMENTS``
+    fragments each, joined once at the end, so writing a report holds about
+    twice the length of its text beyond the report itself.
     """
     out: list[str] = []
-    _emit(obj, "", out, {})
+    chunks: list[str] = []
+    _emit(obj, "", out, chunks, {})
     out.append("\n")
-    return "".join(out)
+    chunks.append("".join(out))
+    return "".join(chunks)
+
+
+def _csv_float(x) -> str:
+    x = float(x)
+    return format_float(x) if math.isfinite(x) else ""
+
+
+_needs_quotes = re.compile(r'[,"\r\n]').search
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted when it holds a comma, a quote or a line break."""
+    if _needs_quotes(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+# CSV text of the plain value types, looked up by exact type
+_CSV_PLAIN = {
+    type(None): lambda _: "",
+    bool: lambda b: "true" if b else "false",
+    int: int.__repr__,
+    float: _csv_float,
+    str: _csv_field,
+}
 
 
 def _csv_scalar(value) -> str:
-    if value is None:
-        return ""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, (float, np.floating)):
-        return format_float(float(value)) if math.isfinite(float(value)) else ""
+    """CSV text of a plain value, a subclass of one or a numpy number."""
+    plain = _CSV_PLAIN.get(type(value))
+    if plain is not None:
+        return plain(value)
+    if isinstance(value, str):
+        return _csv_field(str(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    text = str(value)
-    if any(ch in text for ch in ",\"\n\r"):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
+    if isinstance(value, (float, np.floating)):
+        return _csv_float(value)
+    raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def flatten_for_csv(obj, prefix: str = "") -> list[tuple[str, str]]:
-    """Depth-first (key path, scalar) rows of a report document."""
-    rows: list[tuple[str, str]] = []
+def _flatten(obj, path: str, out: list[str], chunks: list[str]) -> None:
+    """Append a ``path,value`` line to ``out`` for each scalar under ``obj``.
+
+    Recurses into containers only, and joins the buffer onto ``chunks``
+    as :func:`_emit` does.
+    """
     if isinstance(obj, dict):
-        for key, value in obj.items():
-            path = f"{prefix}.{key}" if prefix else str(key)
-            rows.extend(flatten_for_csv(value, path))
+        items = ((f"{path}.{key}" if path else str(key), value) for key, value in obj.items())
     elif isinstance(obj, (list, tuple)):
-        for i, value in enumerate(obj):
-            rows.extend(flatten_for_csv(value, f"{prefix}[{i}]"))
+        items = ((f"{path}[{i}]", value) for i, value in enumerate(obj))
     else:
-        rows.append((prefix, _csv_scalar(obj)))
-    return rows
+        out.append(f"{_csv_field(path)},{_csv_scalar(obj)}\n")
+        return
+    for sub, value in items:
+        plain = _CSV_PLAIN.get(type(value))
+        if plain is not None:
+            out.append(f"{_csv_field(sub)},{plain(value)}\n")
+        else:
+            _flatten(value, sub, out, chunks)
+        if len(out) > _CHUNK_FRAGMENTS:
+            chunks.append("".join(out))
+            out.clear()
 
 
-def to_flat_csv(doc: dict) -> str:
-    lines = ["key,value"]
-    for path, value in flatten_for_csv(doc):
-        lines.append(f"{_csv_scalar(path)},{value}")
-    return "\n".join(lines) + "\n"
+def to_flat_csv(doc) -> str:
+    """The report as ``key,value`` lines, one per scalar, depth first.
+
+    A key is the scalar's path: ``a.b`` below a dict, ``a[0]`` below a list
+    or tuple; empty containers write no line.  ``None`` and non-finite
+    floats are empty fields, booleans ``true``/``false``, floats as in
+    :func:`format_float`.  A field holding a comma, a quote or a line break
+    is quoted.  Any other type raises :class:`TypeError`.
+
+    Memory: as for :func:`dumps`, about twice the length of the text beyond
+    the report itself.
+    """
+    out = ["key,value\n"]
+    chunks: list[str] = []
+    _flatten(doc, "", out, chunks)
+    chunks.append("".join(out))
+    return "".join(chunks)
 
 
 def _outcome_dict(outcome: TestOutcome, alpha: float) -> dict:

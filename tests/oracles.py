@@ -3,7 +3,7 @@
 Everything here is deliberately written from scratch (adaptive Simpson
 quadrature over hand-coded densities, brute-force enumeration, 60-digit
 decimal arithmetic, the Hosking recursion, the full-spectrum circulant
-draw, the per-node JSON writer) so that the library code paths being
+draw, the per-node JSON and flat-CSV writers) so that the library code paths being
 tested share nothing with the values they are checked against.  The
 exceptions are named where they occur.
 """
@@ -259,3 +259,46 @@ def dumps_by_recursion(obj) -> str:
     _emit_json(obj, out, "", "  ")
     out.append("\n")
     return "".join(out)
+
+
+def _csv_scalar(value) -> str:
+    if value is None:
+        return ""
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, (float, np.floating)):
+        return format_float(float(value)) if math.isfinite(float(value)) else ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    text = str(value)
+    if any(ch in text for ch in ",\"\n\r"):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _flatten_for_csv(obj, prefix: str = "") -> list[tuple[str, str]]:
+    rows: list[tuple[str, str]] = []
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            path = f"{prefix}.{key}" if prefix else str(key)
+            rows.extend(_flatten_for_csv(value, path))
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            rows.extend(_flatten_for_csv(value, f"{prefix}[{i}]"))
+    else:
+        rows.append((prefix, _csv_scalar(obj)))
+    return rows
+
+
+def flat_csv_by_recursion(doc) -> str:
+    """The flat ``key,value`` CSV writer, one list of (path, value) rows per node.
+
+    Floats go through the library's ``format_float``.  Unlike the library, a
+    value of an unsupported type is written as ``str(value)``.
+    """
+    lines = ["key,value"]
+    for path, value in _flatten_for_csv(doc):
+        lines.append(f"{_csv_scalar(path)},{value}")
+    return "\n".join(lines) + "\n"

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 import ordinal_seasonality
 import ordinal_seasonality.cli as cli
 from ordinal_seasonality.fixtures import nyse_fixture_distribution, series_from_distribution
-from oracles import dumps_by_recursion
+from ordinal_seasonality.patterns import pattern_strings
+from oracles import dumps_by_recursion, flat_csv_by_recursion
 
 # the child imports the package this test imported, installed or not
 PACKAGE_ROOT = str(Path(ordinal_seasonality.__file__).resolve().parent.parent)
@@ -467,12 +469,49 @@ def test_dumps_matches_oracle_on_repeated_keys_at_several_depths():
     assert cli.dumps(doc) == dumps_by_recursion(doc) == json.dumps(doc, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("value", [set(), np.bool_(True), object()], ids=["set", "np-bool", "object"])
-@pytest.mark.parametrize("where", ["top", "dict", "list"])
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCUMENTS)
+def test_flat_csv_matches_per_node_oracle(doc):
+    assert cli.to_flat_csv(doc) == flat_csv_by_recursion(doc)
+
+
+_UNSUPPORTED = pytest.mark.parametrize(
+    "value", [set(), np.bool_(True), object()], ids=["set", "np-bool", "object"]
+)
+_WHERE = pytest.mark.parametrize("where", ["top", "dict", "list"])
+
+
+def _holding(value, where):
+    return {"top": value, "dict": {"a": {"b": value}}, "list": [1, [value]]}[where]
+
+
+@_UNSUPPORTED
+@_WHERE
 def test_dumps_rejects_unsupported_values(value, where):
-    doc = {"top": value, "dict": {"a": {"b": value}}, "list": [1, [value]]}[where]
     with pytest.raises(TypeError, match=re.escape(f"cannot serialize {type(value)!r}")):
-        cli.dumps(doc)
+        cli.dumps(_holding(value, where))
+
+
+@_UNSUPPORTED
+@_WHERE
+def test_flat_csv_rejects_unsupported_values(value, where):
+    with pytest.raises(TypeError, match=re.escape(f"cannot serialize {type(value)!r}")):
+        cli.to_flat_csv(_holding(value, where))
+
+
+@pytest.mark.parametrize("write", [cli.dumps, cli.to_flat_csv], ids=["json", "csv"])
+def test_writing_a_report_holds_under_three_times_its_text(write):
+    # the shape of an order-8 analyze report: 40,320 pattern rows
+    rows = [{"id": k + 1, "pattern": p, "count": k % 3} for k, p in enumerate(pattern_strings(8))]
+    doc = {"command": "analyze", "sections": [{"order": 8, "pattern_counts": rows, "fraction": 0.25}]}
+    tracemalloc.start()
+    try:
+        text = write(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) >= 40_000
+    assert peak < 3 * len(text), f"peak {peak:,} bytes for {len(text):,} characters"
 
 
 def test_flat_csv_round_trips_line_breaks_and_quotes():
