@@ -100,9 +100,23 @@ def _json_float(x) -> str:
     return format_float(x) if math.isfinite(x) else "null"
 
 
-_encode_string = json.encoder.encode_basestring_ascii  # what json.dumps(str) calls
+def _csv_float(x) -> str:
+    x = float(x)
+    return format_float(x) if math.isfinite(x) else ""
 
-# JSON text of the plain value types, looked up by exact type
+
+_encode_string = json.encoder.encode_basestring_ascii  # what json.dumps(str) calls
+_needs_quotes = re.compile(r'[,"\r\n]').search
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted when it holds a comma, a quote or a line break."""
+    if _needs_quotes(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+# JSON and CSV text of the plain value types, looked up by exact type
 _JSON_PLAIN = {
     type(None): lambda _: "null",
     bool: lambda b: "true" if b else "false",
@@ -110,19 +124,30 @@ _JSON_PLAIN = {
     float: _json_float,
     str: _encode_string,
 }
+_CSV_PLAIN = {
+    type(None): lambda _: "",
+    bool: lambda b: "true" if b else "false",
+    int: int.__repr__,
+    float: _csv_float,
+    str: _csv_field,
+}
 
 
-def _json_scalar(obj) -> str:
-    """JSON text of a plain value, a subclass of one or a numpy number."""
-    plain = _JSON_PLAIN.get(type(obj))
-    if plain is not None:
-        return plain(obj)
+def _scalar(obj, plain: dict) -> str:
+    """Text of a plain value, a subclass of one or a numpy number.
+
+    ``plain`` is the writer's table of plain types (``_JSON_PLAIN`` or
+    ``_CSV_PLAIN``); any other type raises :class:`TypeError`.
+    """
+    write = plain.get(type(obj))
+    if write is not None:
+        return write(obj)
     if isinstance(obj, str):
-        return _encode_string(obj)
+        return plain[str](obj)
     if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+        return plain[int](int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _json_float(obj)
+        return plain[float](obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -187,7 +212,7 @@ def _emit(obj, pad: str, out: list[str], chunks: list[str], heads: dict[str, dic
                 out.clear()
         out.append(f"\n{pad}]")
     else:
-        out.append(_json_scalar(obj))
+        out.append(_scalar(obj, _JSON_PLAIN))
 
 
 def dumps(obj) -> str:
@@ -211,45 +236,6 @@ def dumps(obj) -> str:
     return "".join(chunks)
 
 
-def _csv_float(x) -> str:
-    x = float(x)
-    return format_float(x) if math.isfinite(x) else ""
-
-
-_needs_quotes = re.compile(r'[,"\r\n]').search
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as one CSV field, quoted when it holds a comma, a quote or a line break."""
-    if _needs_quotes(text) is None:
-        return text
-    return '"' + text.replace('"', '""') + '"'
-
-
-# CSV text of the plain value types, looked up by exact type
-_CSV_PLAIN = {
-    type(None): lambda _: "",
-    bool: lambda b: "true" if b else "false",
-    int: int.__repr__,
-    float: _csv_float,
-    str: _csv_field,
-}
-
-
-def _csv_scalar(value) -> str:
-    """CSV text of a plain value, a subclass of one or a numpy number."""
-    plain = _CSV_PLAIN.get(type(value))
-    if plain is not None:
-        return plain(value)
-    if isinstance(value, str):
-        return _csv_field(str(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _csv_float(value)
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
 def _flatten(obj, path: str, out: list[str], chunks: list[str]) -> None:
     """Append a ``path,value`` line to ``out`` for each scalar under ``obj``.
 
@@ -261,7 +247,7 @@ def _flatten(obj, path: str, out: list[str], chunks: list[str]) -> None:
     elif isinstance(obj, (list, tuple)):
         items = ((f"{path}[{i}]", value) for i, value in enumerate(obj))
     else:
-        out.append(f"{_csv_field(path)},{_csv_scalar(obj)}\n")
+        out.append(f"{_csv_field(path)},{_scalar(obj, _CSV_PLAIN)}\n")
         return
     for sub, value in items:
         plain = _CSV_PLAIN.get(type(value))

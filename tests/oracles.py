@@ -3,9 +3,9 @@
 Everything here is deliberately written from scratch (adaptive Simpson
 quadrature over hand-coded densities, brute-force enumeration, 60-digit
 decimal arithmetic, the Hosking recursion, the full-spectrum circulant
-draw, the per-node JSON and flat-CSV writers) so that the library code paths being
-tested share nothing with the values they are checked against.  The
-exceptions are named where they occur.
+draw, the per-node JSON and flat-CSV writers) so that the library code
+paths being tested share nothing with the values they are checked
+against.  The exceptions are named where they occur.
 """
 
 from __future__ import annotations
