@@ -81,6 +81,10 @@ CASES = {
     ],
     "patterns-d4.csv": ["patterns", "--d", "4"],
     "patterns-family.csv": ["patterns", "--d", "5", "--family", "monday-worst-friday-best"],
+    "patterns-d4.json": ["patterns", "--d", "4", "--format", "json"],
+    "patterns-monday-largest.json": [
+        "patterns", "--d", "5", "--family", "monday-largest", "--format", "json",
+    ],
 }
 
 RUNS = [(name, []) for name in CASES] + [
