@@ -18,6 +18,7 @@ import re
 import sys
 import traceback
 from functools import partial
+from itertools import chain, count, repeat
 from typing import Sequence
 
 import numpy as np
@@ -152,9 +153,62 @@ def _scalar(obj, plain: dict) -> str:
 
 
 # a writer joins its fragment buffer into one chunk string once the buffer
-# holds more than this many fragments, so no report is ever held as many
-# small strings at once
+# holds more than this many fragments, and writes a table this many rows at
+# a time, so no report is ever held as many small strings at once
 _CHUNK_FRAGMENTS = 1024
+
+# the plain type each table field's values take, by numpy dtype kind
+_FIELD_TYPES = {"b": bool, "i": int, "u": int, "f": float, "U": str}
+
+
+def _table_blocks(table, plain: dict):
+    """Column texts of a 1-D structured array, ``_CHUNK_FRAGMENTS`` rows at a time.
+
+    Returns an iterator of ``(start, texts)``, where ``texts`` holds one
+    iterator of value texts per field, in field order, written by the
+    ``plain`` writer of the field's type.  Any other array raises
+    :class:`TypeError` at once: a plain array, one of no fields or of more
+    than one dimension, or a field of another kind (object, bytes, dates,
+    sub-arrays).
+    """
+    names = table.dtype.names or ()
+    kinds = [_FIELD_TYPES.get(table.dtype[name].kind) for name in names]
+    if table.ndim != 1 or not names or None in kinds:
+        raise TypeError(f"cannot serialize {type(table)!r}")
+    columns = [(table[name], plain[kind]) for name, kind in zip(names, kinds)]
+    return (
+        (start, [map(write, column[start : start + _CHUNK_FRAGMENTS].tolist()) for column, write in columns])
+        for start in range(0, len(table), _CHUNK_FRAGMENTS)
+    )
+
+
+def _emit_table(table, pad: str, out: list[str], chunks: list[str]) -> None:
+    """Append the JSON of a 1-D structured array: a list of one object per row.
+
+    The text of a block of rows is one join over the field heads (each
+    key's encoded ``indent "key": ``) interleaved with the column texts.
+    The buffer ``out`` is joined onto ``chunks`` first, then each block
+    goes onto ``chunks`` as one string.
+    """
+    blocks = _table_blocks(table, _JSON_PLAIN)
+    if not len(table):
+        out.append("[]")
+        return
+    inner = pad + "  "
+    first_key, *keys = (f"{inner}  {_encode_string(name)}: " for name in table.dtype.names)
+    # a row opens with its separator, its brace and its first key; the table's first row with "["
+    row_open = f",\n{inner}{{\n{first_key}"
+    heads = [f",\n{key}" for key in keys]
+    close = repeat(f"\n{inner}}}")
+    chunks.append("".join(out))
+    out.clear()
+    for start, (first, *rest) in blocks:
+        opens = repeat(row_open) if start else chain(("[" + row_open[1:],), repeat(row_open))
+        parts = [opens, first]
+        for head, text in zip(heads, rest):
+            parts += (repeat(head), text)
+        chunks.append("".join(chain.from_iterable(zip(*parts, close))))
+    out.append(f"\n{pad}]")
 
 
 def _emit(obj, pad: str, out: list[str], chunks: list[str], heads: dict[str, dict[str, str]]) -> None:
@@ -211,6 +265,8 @@ def _emit(obj, pad: str, out: list[str], chunks: list[str], heads: dict[str, dic
                 chunks.append("".join(out))
                 out.clear()
         out.append(f"\n{pad}]")
+    elif isinstance(obj, np.ndarray):
+        _emit_table(obj, pad, out, chunks)
     else:
         out.append(_scalar(obj, _JSON_PLAIN))
 
@@ -222,7 +278,10 @@ def dumps(obj) -> str:
     non-ASCII escaped, tuples as lists, ``{}`` and ``[]`` for empty
     containers.  Floats, numpy's included, are written by
     :func:`format_float`, and non-finite ones as ``null``; numpy integers as
-    ints.  Any other type raises :class:`TypeError`.
+    ints.  A 1-D structured array (a table) is written as the list of one
+    object per row, its fields as keys in field order; its fields may hold
+    bools, ints, floats or str.  Any other type, a plain array included,
+    raises :class:`TypeError`.
 
     Memory: the text is built in chunks of about ``_CHUNK_FRAGMENTS``
     fragments each, joined once at the end, so writing a report holds about
@@ -236,6 +295,26 @@ def dumps(obj) -> str:
     return "".join(chunks)
 
 
+def _flatten_table(table, path: str, out: list[str], chunks: list[str]) -> None:
+    """Append the ``path[i].field,value`` lines of a 1-D structured array, row by row.
+
+    Each field's keys come from one ``%`` template of the row index, its
+    quoting decided once.  The buffer ``out`` is joined onto ``chunks``
+    first, then each block of rows goes onto ``chunks`` as one string.
+    """
+    blocks = _table_blocks(table, _CSV_PLAIN)
+    prefix = path.replace("%", "%%")
+    keys = [_csv_field(f"{prefix}[%d].{name.replace('%', '%%')}") + "," for name in table.dtype.names]
+    newline = repeat("\n")
+    chunks.append("".join(out))
+    out.clear()
+    for start, texts in blocks:
+        parts = []
+        for key, text in zip(keys, texts):
+            parts += (map(key.__mod__, count(start)), text, newline)
+        chunks.append("".join(chain.from_iterable(zip(*parts))))
+
+
 def _flatten(obj, path: str, out: list[str], chunks: list[str]) -> None:
     """Append a ``path,value`` line to ``out`` for each scalar under ``obj``.
 
@@ -246,6 +325,9 @@ def _flatten(obj, path: str, out: list[str], chunks: list[str]) -> None:
         items = ((f"{path}.{key}" if path else str(key), value) for key, value in obj.items())
     elif isinstance(obj, (list, tuple)):
         items = ((f"{path}[{i}]", value) for i, value in enumerate(obj))
+    elif isinstance(obj, np.ndarray):
+        _flatten_table(obj, path, out, chunks)
+        return
     else:
         out.append(f"{_csv_field(path)},{_scalar(obj, _CSV_PLAIN)}\n")
         return
@@ -267,7 +349,9 @@ def to_flat_csv(doc) -> str:
     or tuple; empty containers write no line.  ``None`` and non-finite
     floats are empty fields, booleans ``true``/``false``, floats as in
     :func:`format_float`.  A field holding a comma, a quote or a line break
-    is quoted.  Any other type raises :class:`TypeError`.
+    is quoted.  A table (a 1-D structured array, as in :func:`dumps`) is
+    written as its list of rows, ``a[0].field`` for each field of each row.
+    Any other type raises :class:`TypeError`.
 
     Memory: as for :func:`dumps`, about twice the length of the text beyond
     the report itself.
@@ -369,10 +453,7 @@ def _analyze_section(part: ReturnSeries, args) -> dict:
             "windows_with_ties": dist.ties_observed,
             "fraction": dist.ties_observed / dist.windows if dist.windows else 0.0,
         },
-        "pattern_counts": [
-            {"id": k + 1, "pattern": p, "count": c}
-            for k, (p, c) in enumerate(zip(pattern_strings(dist.order), dist.counts.tolist()))
-        ],
+        "pattern_counts": _pattern_listing(dist.order, dist.counts),
         "position_matrix": {
             "weeks": dist.windows,
             "rows": [
@@ -583,20 +664,32 @@ def cmd_shuffle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _pattern_listing(order: int, counts: np.ndarray | None = None) -> np.ndarray:
+    """The D! patterns in id order as a table (a 1-D structured array).
+
+    Its fields are ``id``, ``pattern`` (the digit string) and, when
+    ``counts`` is given, ``count``.
+    """
+    strings = pattern_strings(order)
+    fields = [("id", np.int64), ("pattern", f"U{order}")]
+    listing = np.empty(len(strings), dtype=fields if counts is None else [*fields, ("count", np.int64)])
+    listing["id"] = np.arange(1, len(strings) + 1)
+    listing["pattern"] = strings
+    if counts is not None:
+        listing["count"] = counts
+    return listing
+
+
 def cmd_patterns(args) -> int:
-    ids = None
+    listing = _pattern_listing(args.d)
     if args.family:
         ids = pattern_family(PatternFamily(args.family), args.d)
-    listing = [
-        {"id": k + 1, "pattern": p}
-        for k, p in enumerate(pattern_strings(args.d))
-        if ids is None or (k + 1) in ids
-    ]
+        listing = listing[np.isin(listing["id"], list(ids))]
     if args.format == "json":
         doc = {"command": "patterns", "order": args.d, "family": args.family, "patterns": listing}
         _write_output(dumps(doc), args.output)
     else:
-        lines = [f"{entry['id']},{entry['pattern']}" for entry in listing]
+        lines = [f"{k},{pattern}" for k, pattern in listing.tolist()]
         _write_output("\n".join(lines) + "\n", args.output)
     return 0
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, permutations
 
 import numpy as np
 
@@ -41,13 +40,20 @@ def _validate_order(order: int) -> int:
 def pattern_table(order: int) -> np.ndarray:
     """Digits of all D! patterns in id order: a read-only int8 array of shape (D!, D).
 
-    Row ``k`` holds pattern id ``k + 1`` (itertools emits permutations
-    lexicographically).  Built once per order and shared by every caller.
+    Row ``k`` holds pattern id ``k + 1``.  In lexicographic order the
+    patterns starting with digit ``f`` form the f-th block of (D-1)! rows,
+    and each is ``f`` followed by a pattern of order D-1 whose digits from
+    ``f`` up are shifted by one; so each order is built from the table of
+    the order below.  Built once per order and shared by every caller.
     """
     order = _validate_order(order)
-    digits = chain.from_iterable(permutations(range(order)))
-    table = np.fromiter(digits, dtype=np.int8, count=math.factorial(order) * order)
-    table = table.reshape(-1, order)
+    rest = pattern_table(order - 1) if order > 2 else np.zeros((1, 1), dtype=np.int8)
+    size = rest.shape[0]
+    table = np.empty((order * size, order), dtype=np.int8)
+    for first in range(order):
+        block = table[first * size : (first + 1) * size]
+        block[:, 0] = first
+        np.add(rest, rest >= first, out=block[:, 1:])
     table.flags.writeable = False
     return table
 

@@ -209,7 +209,18 @@ def fgn_circulant_full_spectrum(length: int, hurst: float, rng: np.random.Genera
     return np.fft.fft(w)[:n].real
 
 
+def _is_table(obj) -> bool:
+    return isinstance(obj, np.ndarray) and obj.ndim == 1 and bool(obj.dtype.names)
+
+
+def _table_rows(table: np.ndarray) -> list[dict]:
+    """A 1-D structured array as the list of one dict per row, fields in order."""
+    return [dict(zip(table.dtype.names, row)) for row in table.tolist()]
+
+
 def _emit_json(obj, out: list[str], pad: str, indent: str) -> None:
+    if _is_table(obj):
+        obj = _table_rows(obj)
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -253,7 +264,8 @@ def dumps_by_recursion(obj) -> str:
     """The report JSON writer, one recursive call and one ``json.dumps`` per node.
 
     Floats go through the library's ``format_float``: the oracle checks the
-    layout and escaping, not the float text.
+    layout and escaping, not the float text.  A 1-D structured array is
+    first expanded into its list of row dicts.
     """
     out: list[str] = []
     _emit_json(obj, out, "", "  ")
@@ -280,6 +292,8 @@ def _csv_scalar(value) -> str:
 
 def _flatten_for_csv(obj, prefix: str = "") -> list[tuple[str, str]]:
     rows: list[tuple[str, str]] = []
+    if _is_table(obj):
+        obj = _table_rows(obj)
     if isinstance(obj, dict):
         for key, value in obj.items():
             path = f"{prefix}.{key}" if prefix else str(key)
@@ -295,8 +309,9 @@ def _flatten_for_csv(obj, prefix: str = "") -> list[tuple[str, str]]:
 def flat_csv_by_recursion(doc) -> str:
     """The flat ``key,value`` CSV writer, one list of (path, value) rows per node.
 
-    Floats go through the library's ``format_float``.  Unlike the library, a
-    value of an unsupported type is written as ``str(value)``.
+    Floats go through the library's ``format_float``.  A 1-D structured
+    array is first expanded into its list of row dicts.  Unlike the library,
+    a value of an unsupported type is written as ``str(value)``.
     """
     lines = ["key,value"]
     for path, value in _flatten_for_csv(doc):

@@ -434,7 +434,7 @@ def test_json_round_trip(returns_csv):
     assert json.loads(cli.dumps(doc)) == doc
 
 
-_TEXT = st.text() | st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\r\n\t", "é", "\u2028", "\ud800", "😀", ""])
+_TEXT = st.text() | st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\r\n\t", "é", "\u2028", "\ud800", "😀", "", "%s%%"])
 _NUMBERS = st.sampled_from(
     [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308, 1e16, 1e-5, np.float32(0.1), np.float64(1 / 3)]
 )
@@ -448,8 +448,31 @@ _LEAVES = (
     | _NUMBERS
     | _TEXT
 )
+# table fields: the values of each kind, and names holding "%", quotes and non-ASCII text
+_FIELD_VALUES = {
+    "i8": st.integers(-(2**63), 2**63 - 1),
+    "f8": st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]),
+    "?": st.booleans(),
+    "U": _TEXT | st.sampled_from(['a,b', 'say "hi"', "two\nlines", "cr\rlf", "naïve €"]),
+}
+_FIELD_NAMES = st.text(min_size=1, max_size=4) | st.sampled_from(["%", "%s%%", "a%d", '"', 'x"y', "é", "😀", "id"])
+
+
+@st.composite
+def _tables(draw) -> np.ndarray:
+    """A 1-D structured array of 0-4 rows and 1-3 fields."""
+    names = draw(st.lists(_FIELD_NAMES, min_size=1, max_size=3, unique=True))
+    kinds = [draw(st.sampled_from(sorted(_FIELD_VALUES))) for _ in names]
+    rows = draw(st.lists(st.tuples(*(_FIELD_VALUES[kind] for kind in kinds)), max_size=4))
+    dtype = [
+        (name, f"U{max([len(row[j]) for row in rows], default=0) + 1}" if kind == "U" else kind)
+        for j, (name, kind) in enumerate(zip(names, kinds))
+    ]
+    return np.array(rows, dtype=dtype)
+
+
 _DOCUMENTS = st.recursive(
-    _LEAVES,
+    _LEAVES | _tables(),
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(_TEXT | st.integers(-3, 3), inner, max_size=4),
@@ -476,7 +499,9 @@ def test_flat_csv_matches_per_node_oracle(doc):
 
 
 _UNSUPPORTED = pytest.mark.parametrize(
-    "value", [set(), np.bool_(True), object()], ids=["set", "np-bool", "object"]
+    "value",
+    [set(), np.bool_(True), object(), np.arange(3), np.array([(1, "a")], dtype=[("id", int), ("x", object)])],
+    ids=["set", "np-bool", "object", "plain-array", "object-table"],
 )
 _WHERE = pytest.mark.parametrize("where", ["top", "dict", "list"])
 
@@ -499,10 +524,30 @@ def test_flat_csv_rejects_unsupported_values(value, where):
         cli.to_flat_csv(_holding(value, where))
 
 
+def _pattern_rows(form: str):
+    """The 40,320 pattern rows of an order-8 analyze report, as dicts or as a table."""
+    strings = pattern_strings(8)
+    table = np.empty(len(strings), dtype=[("id", np.int64), ("pattern", "U8"), ("count", np.int64)])
+    table["id"] = np.arange(1, len(strings) + 1)
+    table["pattern"] = strings
+    table["count"] = table["id"] % 3
+    return table if form == "table" else [dict(zip(table.dtype.names, row)) for row in table.tolist()]
+
+
+def test_tables_of_several_blocks_write_as_their_rows():
+    table = _pattern_rows("table")[: 2 * cli._CHUNK_FRAGMENTS + 5]
+    rows = [dict(zip(table.dtype.names, row)) for row in table.tolist()]
+    # a key holding "%", a comma and quotes puts them in every CSV path below it
+    doc = {"sections": [{"counts %d, \"all\"": table, "empty": table[:0], "after": 1}], "tail": table[-3:]}
+    expanded = {"sections": [{"counts %d, \"all\"": rows, "empty": [], "after": 1}], "tail": rows[-3:]}
+    assert cli.dumps(doc) == json.dumps(expanded, indent=2) + "\n"
+    assert cli.to_flat_csv(doc) == cli.to_flat_csv(expanded) == flat_csv_by_recursion(expanded)
+
+
+@pytest.mark.parametrize("form", ["dicts", "table"])
 @pytest.mark.parametrize("write", [cli.dumps, cli.to_flat_csv], ids=["json", "csv"])
-def test_writing_a_report_holds_under_three_times_its_text(write):
-    # the shape of an order-8 analyze report: 40,320 pattern rows
-    rows = [{"id": k + 1, "pattern": p, "count": k % 3} for k, p in enumerate(pattern_strings(8))]
+def test_writing_a_report_holds_under_three_times_its_text(write, form):
+    rows = _pattern_rows(form)
     doc = {"command": "analyze", "sections": [{"order": 8, "pattern_counts": rows, "fraction": 0.25}]}
     tracemalloc.start()
     try:

@@ -112,7 +112,7 @@ def test_rank_unrank_bijection_exhaustive(order):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("order", range(2, 8))
+@pytest.mark.parametrize("order", range(2, 9))
 def test_table_rows_are_sorted_permutations_with_consecutive_ranks(order):
     table = pattern_table(order)
     assert table.dtype == np.int8 and not table.flags.writeable
@@ -120,6 +120,19 @@ def test_table_rows_are_sorted_permutations_with_consecutive_ranks(order):
     ranks = [lexicographic_rank(row, order) for row in table.tolist()]
     assert ranks == list(range(1, math.factorial(order) + 1))
     assert pattern_strings(order) == ["".join(map(str, row)) for row in table.tolist()]
+
+
+@pytest.mark.parametrize("order", [9, 10])
+def test_large_tables_hold_every_permutation_in_increasing_order(order):
+    # D! rows that are permutations and strictly increase as numbers are all D! permutations in order
+    table = pattern_table(order)
+    assert table.dtype == np.int8 and not table.flags.writeable
+    assert table.shape == (math.factorial(order), order)
+    assert (np.sort(table, axis=1) == np.arange(order)).all()
+    value = np.zeros(table.shape[0], dtype=np.int64)
+    for column in table.T:
+        value = value * 10 + column
+    assert (np.diff(value) > 0).all()
 
 
 @pytest.mark.parametrize("order", range(2, 8))
