@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import ordinal_seasonality
 import ordinal_seasonality.cli as cli
 from ordinal_seasonality.fixtures import nyse_fixture_distribution, series_from_distribution
-from ordinal_seasonality.patterns import pattern_strings
 from oracles import dumps_by_recursion, flat_csv_by_recursion
 
 # the child imports the package this test imported, installed or not
@@ -526,11 +525,7 @@ def test_flat_csv_rejects_unsupported_values(value, where):
 
 def _pattern_rows(form: str):
     """The 40,320 pattern rows of an order-8 analyze report, as dicts or as a table."""
-    strings = pattern_strings(8)
-    table = np.empty(len(strings), dtype=[("id", np.int64), ("pattern", "U8"), ("count", np.int64)])
-    table["id"] = np.arange(1, len(strings) + 1)
-    table["pattern"] = strings
-    table["count"] = table["id"] % 3
+    table = cli._pattern_listing(8, np.arange(math.factorial(8)) % 3)
     return table if form == "table" else [dict(zip(table.dtype.names, row)) for row in table.tolist()]
 
 
@@ -544,8 +539,11 @@ def test_tables_of_several_blocks_write_as_their_rows():
     assert cli.to_flat_csv(doc) == cli.to_flat_csv(expanded) == flat_csv_by_recursion(expanded)
 
 
-@pytest.mark.parametrize("form", ["dicts", "table"])
-@pytest.mark.parametrize("write", [cli.dumps, cli.to_flat_csv], ids=["json", "csv"])
+@pytest.mark.parametrize(
+    ("write", "form"),
+    [(cli.dumps, "dicts"), (cli.to_flat_csv, "dicts"), (cli.dumps, "table"), (cli.to_flat_csv, "table")],
+    ids=["json", "csv", "json-table", "csv-table"],
+)
 def test_writing_a_report_holds_under_three_times_its_text(write, form):
     rows = _pattern_rows(form)
     doc = {"command": "analyze", "sections": [{"order": 8, "pattern_counts": rows, "fraction": 0.25}]}
