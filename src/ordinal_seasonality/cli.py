@@ -211,36 +211,29 @@ def _emit_table(table, pad: str, out: list[str], chunks: list[str]) -> None:
     out.append(f"\n{pad}]")
 
 
-def _emit(obj, pad: str, out: list[str], chunks: list[str], heads: dict[str, dict[str, str]]) -> None:
+def _emit(obj, pad: str, out: list[str], chunks: list[str]) -> None:
     """Append the JSON text of ``obj`` to ``out``; recurses into containers only.
 
     Each item goes in with its separator in front.  After each item of a
     container, a buffer of more than ``_CHUNK_FRAGMENTS`` fragments is
-    joined onto ``chunks`` and cleared.  ``heads`` maps an indent to each
-    key's encoded ``indent "key": `` prefix, so a key repeated across rows
-    is encoded once.
+    joined onto ``chunks`` and cleared.  Tables go to :func:`_emit_table`.
     """
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
         inner = pad + "  "
-        prefixes = heads.get(inner)
-        if prefixes is None:
-            prefixes = heads[inner] = {}
         sep = "{\n"
         for key, value in obj.items():
             if type(key) is not str:
                 key = str(key)
-            head = prefixes.get(key)
-            if head is None:
-                head = prefixes[key] = f"{inner}{_encode_string(key)}: "
+            head = f"{inner}{_encode_string(key)}: "
             plain = _JSON_PLAIN.get(type(value))
             if plain is not None:
                 out.append(f"{sep}{head}{plain(value)}")
             else:
                 out.append(sep + head)
-                _emit(value, inner, out, chunks, heads)
+                _emit(value, inner, out, chunks)
             sep = ",\n"
             if len(out) > _CHUNK_FRAGMENTS:
                 chunks.append("".join(out))
@@ -259,7 +252,7 @@ def _emit(obj, pad: str, out: list[str], chunks: list[str], heads: dict[str, dic
                 out.append(sep + plain(value))
             else:
                 out.append(sep)
-                _emit(value, inner, out, chunks, heads)
+                _emit(value, inner, out, chunks)
             sep = comma
             if len(out) > _CHUNK_FRAGMENTS:
                 chunks.append("".join(out))
@@ -289,7 +282,7 @@ def dumps(obj) -> str:
     """
     out: list[str] = []
     chunks: list[str] = []
-    _emit(obj, "", out, chunks, {})
+    _emit(obj, "", out, chunks)
     out.append("\n")
     chunks.append("".join(out))
     return "".join(chunks)
