@@ -531,7 +531,7 @@ def _pattern_rows(form: str):
 
 def test_tables_of_several_blocks_write_as_their_rows():
     table = _pattern_rows("table")[: 2 * cli._CHUNK_FRAGMENTS + 5]
-    rows = [dict(zip(table.dtype.names, row)) for row in table.tolist()]
+    rows = _pattern_rows("dicts")[: len(table)]
     # a key holding "%", a comma and quotes puts them in every CSV path below it
     doc = {"sections": [{"counts %d, \"all\"": table, "empty": table[:0], "after": 1}], "tail": table[-3:]}
     expanded = {"sections": [{"counts %d, \"all\"": rows, "empty": [], "after": 1}], "tail": rows[-3:]}
