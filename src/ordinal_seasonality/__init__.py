@@ -19,7 +19,6 @@ from .fgn import (
 from .hurst import HurstEstimate, HurstMethod, estimate_hurst
 from .ingest import (
     ReturnSeries,
-    SubperiodSpec,
     calendar_weeks,
     load_csv,
     log_returns,
@@ -64,7 +63,6 @@ __all__ = [
     "ReturnSeries",
     "SchemaError",
     "SimulationReport",
-    "SubperiodSpec",
     "TestOutcome",
     "binomial_test",
     "calendar_weeks",

@@ -23,13 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateSeriesError,
-    InvalidInputError,
-    OrderError,
-    RejectedRowError,
-    SchemaError,
-)
+from .errors import InvalidInputError, OrdinalSeasonalityError
 from .fgn import (
     EnsembleConfig,
     FgnConfig,
@@ -41,7 +35,6 @@ from .fgn import (
 from .hurst import HurstEstimate, HurstMethod, estimate_hurst
 from .ingest import (
     ReturnSeries,
-    SubperiodSpec,
     calendar_weeks,
     load_csv,
     log_returns,
@@ -68,15 +61,8 @@ from .stats import (
 
 log = logging.getLogger(__name__)
 
-_INPUT_ERRORS = (
-    InvalidInputError,
-    SchemaError,
-    OrderError,
-    RejectedRowError,
-    DegenerateSeriesError,
-    OSError,  # missing, unreadable or directory paths, corrupt gzip
-    UnicodeDecodeError,
-)
+# OSError: missing, unreadable or directory paths, corrupt gzip
+_INPUT_ERRORS = (OrdinalSeasonalityError, OSError, UnicodeDecodeError)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +490,7 @@ def cmd_analyze(args) -> int:
         raise InvalidInputError("--stride applies to --weeks block, not to calendar weeks")
     series = _load_series(args)
     if args.subperiods:
-        parts = split_subperiods(series, SubperiodSpec(tuple(args.subperiods)))
+        parts = split_subperiods(series, args.subperiods)
     else:
         parts = [series]
     doc = {

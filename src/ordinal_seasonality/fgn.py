@@ -1,11 +1,12 @@
 """Exact fractional Gaussian noise and the Monte-Carlo replication engine.
 
 One exact sampler, circulant embedding (Davies-Harte, O(n log n)), realizes
-the fGn autocovariance
+the unit-variance fGn autocovariance
 
-    gamma(k) = (sigma^2 / 2) * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H})
+    gamma(k) = (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}) / 2
 
 exactly, so covariance properties are testable rather than approximate.
+Noise of standard deviation sigma is sigma times a draw.
 The embedding's eigenvalues are non-negative for every H in (0, 1), and
 gamma is evaluated without cancellation, so no input needs a fallback.
 Of the 2n-entry Hermitian spectrum a draw fills only the n+1 non-redundant
@@ -56,11 +57,10 @@ from .stats import (
 
 @dataclass(frozen=True)
 class FgnConfig:
-    """One fractional-Gaussian-noise sample: Hurst exponent, length, scale, seed."""
+    """One unit-variance fractional-Gaussian-noise sample: Hurst exponent, length, seed."""
 
     hurst: float
     length: int
-    sigma: float = 1.0
     seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -68,27 +68,30 @@ class FgnConfig:
             raise InvalidInputError(f"hurst must lie in (0, 1), got {self.hurst}")
         if self.length < 2:
             raise InvalidInputError("length must be >= 2")
-        if self.sigma <= 0:
-            raise InvalidInputError("sigma must be positive")
         if self.seed is not None and self.seed < 0:
             raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Replicated fGn experiment; per-replication seeds derive from master_seed."""
+    """Replicated fGn experiment; per-replication seeds derive from master_seed.
+
+    The base config takes no seed: the replications would not read it.
+    """
 
     base: FgnConfig
     replications: int
     master_seed: int
 
     def __post_init__(self) -> None:
+        if self.base.seed is not None:
+            raise InvalidInputError("the base config of an ensemble takes no seed; set master_seed")
         if self.master_seed < 0:
             raise InvalidInputError(f"seed must be >= 0, got {self.master_seed}")
 
 
-def fgn_autocovariance(hurst: float, lags, sigma: float = 1.0) -> np.ndarray:
-    """Closed-form fGn autocovariance gamma(k) at the given lags.
+def fgn_autocovariance(hurst: float, lags) -> np.ndarray:
+    """Closed-form unit-variance fGn autocovariance gamma(k) at the given lags.
 
     Evaluated as k^{2H} ((1 + 1/k)^{2H} - 1 + (1 - 1/k)^{2H} - 1) with
     log1p/expm1, so the relative error stays near machine precision at
@@ -99,12 +102,12 @@ def fgn_autocovariance(hurst: float, lags, sigma: float = 1.0) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):  # lag 0 is set below; lag 1 hits log1p(-1)
         inv = 1.0 / k
         gamma = k**two_h * (np.expm1(two_h * np.log1p(inv)) + np.expm1(two_h * np.log1p(-inv)))
-    return np.where(k == 0.0, sigma**2, 0.5 * sigma**2 * gamma)
+    return np.where(k == 0.0, 1.0, 0.5 * gamma)
 
 
 @lru_cache(maxsize=8)
 def _circulant_scale(length: int, hurst: float) -> np.ndarray:
-    """Per-frequency scale of the draw for unit sigma: a read-only (n+1,) array.
+    """Per-frequency scale of the draw: a read-only (n+1,) array.
 
     ``sqrt(eig_k / 2m)`` for 0 < k < n, where one complex normal carries
     frequency k, and ``sqrt(eig_k / m)`` at k = 0 and k = n, the two real
@@ -139,7 +142,7 @@ def fgn_generate(cfg: FgnConfig) -> ReturnSeries:
     """Generate one fGn sample by circulant embedding; deterministic for a given config."""
     if cfg.seed is None:
         raise InvalidInputError("fgn_generate requires an explicit seed")
-    values = cfg.sigma * _fgn_circulant(cfg.length, cfg.hurst, np.random.default_rng(cfg.seed))
+    values = _fgn_circulant(cfg.length, cfg.hurst, np.random.default_rng(cfg.seed))
     return ReturnSeries(values=values, label=f"fgn(H={cfg.hurst:g}, n={cfg.length}, circulant)")
 
 
@@ -166,12 +169,10 @@ def _tested(dist: PatternDistribution) -> Replication:
     return dist.counts, np.array(p_values)
 
 
-def fgn_replication(
-    hurst: float, length: int, sigma: float, order: int, master_seed: int, index: int
-) -> Replication:
+def fgn_replication(hurst: float, length: int, order: int, master_seed: int, index: int) -> Replication:
     """Tests on the fGn sample of replication ``index``."""
     rng = replication_rng(master_seed, index)
-    values = sigma * _fgn_circulant(length, hurst, rng)
+    values = _fgn_circulant(length, hurst, rng)
     return _tested(count_patterns(values, order=order, stride=order))
 
 
@@ -248,7 +249,6 @@ class SimulationReport:
 
     hurst: float
     length: int
-    sigma: float
     replications: int
     master_seed: int
     order: int
@@ -298,7 +298,7 @@ def run_ensemble(cfg: EnsembleConfig, jobs: int = 1) -> SimulationReport:
     if weeks < 1:
         raise InvalidInputError("length too short for a single week window")
 
-    replicate = partial(fgn_replication, base.hurst, base.length, base.sigma, order, cfg.master_seed)
+    replicate = partial(fgn_replication, base.hurst, base.length, order, cfg.master_seed)
     counts, p_values = run_replications(replicate, reps, jobs)
     rejections = tally_rejections(p_values)
 
@@ -309,7 +309,6 @@ def run_ensemble(cfg: EnsembleConfig, jobs: int = 1) -> SimulationReport:
     return SimulationReport(
         hurst=base.hurst,
         length=base.length,
-        sigma=base.sigma,
         replications=reps,
         master_seed=cfg.master_seed,
         order=order,

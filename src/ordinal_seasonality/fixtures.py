@@ -78,18 +78,20 @@ NYSE_SHUFFLED_POSITION_MATRIX = np.array(
 )
 
 
-def _pattern_ids(order: int, digit_strings) -> list[int]:
+def _pattern_ids(order: int, digit_strings) -> np.ndarray:
     """Ids of digit strings, each of which must be a pattern of the given order."""
-    ids = {digits: k for k, digits in enumerate(pattern_strings(order), start=1)}
-    for digits in digit_strings:
-        if digits not in ids:
-            raise InvalidInputError(f"{digits!r} is not a pattern of order {order}")
-    return [ids[digits] for digits in digit_strings]
+    strings = pattern_strings(order)  # sorted, since ids are lexicographic ranks
+    wanted = np.array(list(digit_strings), dtype=str)
+    rows = np.minimum(np.searchsorted(strings, wanted), strings.size - 1)
+    missing = np.flatnonzero(strings[rows] != wanted)
+    if missing.size:
+        raise InvalidInputError(f"{str(wanted[missing[0]])!r} is not a pattern of order {order}")
+    return rows + 1
 
 
 def _pattern_counts_array(order: int, table: dict[str, int]) -> np.ndarray:
     counts = np.zeros(math.factorial(order), dtype=np.int64)
-    counts[np.array(_pattern_ids(order, table), dtype=np.intp) - 1] = list(table.values())
+    counts[_pattern_ids(order, table) - 1] = list(table.values())
     return counts
 
 
@@ -155,7 +157,7 @@ def nyse_fixture_distribution() -> PatternDistribution:
     residual = NYSE_POSITION_MATRIX - position_counts(base, 5).astype(np.int64)
     if (residual < 0).any():  # pragma: no cover - embedded data is fixed
         raise InvalidInputError("bundled histogram exceeds the bundled matrix")
-    protected = frozenset(_pattern_ids(5, ("42013", "03421", "04312")))
+    protected = frozenset(_pattern_ids(5, ("42013", "03421", "04312")).tolist())
     caps = np.maximum(33 - base, 0)
     extra = decompose_position_matrix(residual, forbidden_ids=protected, caps=caps)
     counts = base + extra
@@ -179,16 +181,16 @@ def nyse_shuffled_distribution() -> PatternDistribution:
     )
 
 
-def series_from_distribution(dist: PatternDistribution, spread: float = 0.02) -> ReturnSeries:
+def series_from_distribution(dist: PatternDistribution) -> ReturnSeries:
     """Synthetic return series whose block-partition counts equal ``dist``.
 
     Each pattern contributes ``counts`` consecutive windows; within a
     window the day at rank r receives the r-th of D evenly spaced levels
-    in [-spread, spread].
+    in [-0.02, 0.02].
     """
     if dist.windows == 0:
         raise InvalidInputError("distribution has no windows")
-    levels = np.linspace(-spread, spread, dist.order)
+    levels = np.linspace(-0.02, 0.02, dist.order)
     # the day at rank r of pattern k is table[k, r], so day i gets the level of its rank
     windows = levels[np.argsort(pattern_table(dist.order), axis=1)]
     values = np.repeat(windows, dist.counts, axis=0).ravel()

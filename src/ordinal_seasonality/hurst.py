@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import DegenerateSeriesError, InvalidInputError
 
-MIN_WINDOW_FLOOR = 8
-DEFAULT_MIN_WINDOW = 16  # cuts the small-window transient that drags estimates toward 0.5
+MIN_WINDOW = 16  # cuts the small-window transient that drags estimates toward 0.5
 MIN_FIT_POINTS = 4
 GRID_RATIO = 1.5
 
@@ -50,13 +49,13 @@ class HurstEstimate:
             raise InvalidInputError("window sizes must be strictly increasing")
 
 
-def window_grid(min_window: int, max_window: int, ratio: float = GRID_RATIO) -> np.ndarray:
-    """Geometric grid of integer window sizes between the bounds, inclusive."""
+def window_grid(length: int) -> np.ndarray:
+    """Geometric grid of integer window sizes from 16 to ``length // 4``, inclusive."""
     sizes = []
-    w = float(min_window)
-    while round(w) <= max_window:
+    w = float(MIN_WINDOW)
+    while round(w) <= length // 4:
         sizes.append(int(round(w)))
-        w *= ratio
+        w *= GRID_RATIO
     return np.asarray(sorted(set(sizes)), dtype=int)
 
 
@@ -106,32 +105,19 @@ def _dfa_fluctuation(profile: np.ndarray, window: int) -> float | None:
     return float(math.sqrt(mean_sq))
 
 
-def estimate_hurst(
-    series,
-    method: HurstMethod = HurstMethod.RS,
-    min_window: int = DEFAULT_MIN_WINDOW,
-    max_window: int | None = None,
-) -> HurstEstimate:
+def estimate_hurst(series, method: HurstMethod = HurstMethod.RS) -> HurstEstimate:
     """Estimate the Hurst exponent of a return series.
 
-    Window sizes grow geometrically (ratio ~1.5) from ``min_window`` to
-    ``max_window`` (default: length/4); the exponent is the least-squares
-    slope of the log statistic against log window size.
+    Window sizes grow geometrically (ratio 1.5) from 16 to length/4; the
+    exponent is the least-squares slope of the log statistic against log
+    window size.
     """
     values = np.asarray(getattr(series, "values", series), dtype=float)
     if values.ndim != 1:
         raise InvalidInputError("series must be one-dimensional")
     n = values.size
-    if min_window < MIN_WINDOW_FLOOR:
-        raise InvalidInputError(f"min_window must be >= {MIN_WINDOW_FLOOR}")
-    if n < 4 * min_window:
-        raise InvalidInputError(f"series of length {n} is too short for min_window {min_window}")
-    if max_window is None:
-        max_window = n // 4
-    if not min_window < max_window <= n // 4:
-        raise InvalidInputError(
-            f"need min_window < max_window <= length/4, got {min_window}, {max_window}, {n}"
-        )
+    if n // 4 <= MIN_WINDOW:
+        raise InvalidInputError(f"series of length {n} is too short: need length/4 > {MIN_WINDOW}")
     if not np.all(np.isfinite(values)):
         raise InvalidInputError("series contains non-finite values")
     if np.ptp(values) == 0:
@@ -139,7 +125,7 @@ def estimate_hurst(
             "constant series has no Hurst exponent: its range and fluctuation are zero"
         )
 
-    sizes = window_grid(min_window, max_window)
+    sizes = window_grid(n)
     profile = np.cumsum(values - values.mean()) if method is HurstMethod.DFA else None
 
     points = []

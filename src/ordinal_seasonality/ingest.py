@@ -116,7 +116,7 @@ def _iso_dates(cells: np.ndarray) -> np.ndarray | None:
 _NUMPY_DECOMPRESSED = (".bz2", ".xz", ".lzma")
 
 
-def _load_bulk(path: Path, value_column: str, date_column: str | None, delimiter: str):
+def _load_bulk(path: Path, value_column: str, date_column: str | None):
     """Values and dates parsed in bulk, or None where the row loop might differ.
 
     The header is read with :mod:`csv`; numpy then reads the data rows from
@@ -131,7 +131,7 @@ def _load_bulk(path: Path, value_column: str, date_column: str | None, delimiter
         if _has_nul(path):  # fixed-width date bytes cannot show a trailing NUL
             return None
         with _open_text(path) as handle:
-            reader = csv.reader(handle, delimiter=delimiter)
+            reader = csv.reader(handle)
             _, vcol, dcol = _read_header(reader, path, value_column, date_column)
             if reader.line_num != 1:  # skiprows counts lines, not records
                 return None
@@ -141,7 +141,7 @@ def _load_bulk(path: Path, value_column: str, date_column: str | None, delimiter
             table = np.loadtxt(
                 os.fspath(path),
                 dtype=fields,
-                delimiter=delimiter,
+                delimiter=",",
                 usecols=(vcol,) if dcol is None else (vcol, dcol),
                 comments=None,
                 quotechar='"',
@@ -163,12 +163,12 @@ def _load_bulk(path: Path, value_column: str, date_column: str | None, delimiter
     return values, dates
 
 
-def _load_rows(path: Path, value_column: str, date_column: str | None, delimiter: str = ","):
+def _load_rows(path: Path, value_column: str, date_column: str | None):
     """The reference row loop: values and dates, or an error naming the row."""
     values: list[float] = []
     dates: list[date] = []
     with _open_text(path) as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+        reader = csv.reader(handle)
         header, vcol, dcol = _read_header(reader, path, value_column, date_column)
         for row_no, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):
@@ -199,7 +199,6 @@ def load_csv(
     date_column: str | None = None,
     price_column: str | None = None,
     return_column: str | None = None,
-    delimiter: str = ",",
 ) -> ReturnSeries:
     """Load a value column (and optionally a date column) from a CSV file.
 
@@ -221,8 +220,8 @@ def load_csv(
     value_column = price_column if price_column is not None else return_column
 
     path = Path(path)
-    loaded = _load_bulk(path, value_column, date_column, delimiter)
-    values, dates = loaded or _load_rows(path, value_column, date_column, delimiter)
+    loaded = _load_bulk(path, value_column, date_column)
+    values, dates = loaded or _load_rows(path, value_column, date_column)
     return ReturnSeries(values=values, dates=dates, label=path.name)
 
 
@@ -237,33 +236,20 @@ def log_returns(prices: ReturnSeries) -> ReturnSeries:
     return ReturnSeries(values=values, dates=dates, label=prices.label)
 
 
-@dataclass(frozen=True)
-class SubperiodSpec:
-    """Contiguous, exhaustive partition of a series into consecutive slices."""
-
-    lengths: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.lengths:
-            raise InvalidInputError("subperiod spec needs at least one length")
-        if any(int(n) < 1 for n in self.lengths):
-            raise InvalidInputError("subperiod lengths must be positive")
-        object.__setattr__(self, "lengths", tuple(int(n) for n in self.lengths))
-
-    @property
-    def total(self) -> int:
-        return sum(self.lengths)
-
-
-def split_subperiods(series: ReturnSeries, spec: SubperiodSpec) -> list[ReturnSeries]:
-    """Slice the series into the spec's consecutive subperiods."""
-    if spec.total != len(series):
+def split_subperiods(series: ReturnSeries, lengths) -> list[ReturnSeries]:
+    """Slice the series into consecutive subperiods of the given lengths, which must cover it."""
+    lengths = [int(n) for n in lengths]
+    if not lengths:
+        raise InvalidInputError("need at least one subperiod length")
+    if min(lengths) < 1:
+        raise InvalidInputError("subperiod lengths must be positive")
+    if sum(lengths) != len(series):
         raise InvalidInputError(
-            f"subperiod lengths sum to {spec.total}, series has {len(series)} points"
+            f"subperiod lengths sum to {sum(lengths)}, series has {len(series)} points"
         )
     out = []
     start = 0
-    for i, n in enumerate(spec.lengths, start=1):
+    for i, n in enumerate(lengths, start=1):
         stop = start + n
         dates = series.dates[start:stop] if series.dates is not None else None
         base = series.label or "series"

@@ -58,12 +58,16 @@ def pattern_table(order: int) -> np.ndarray:
     return table
 
 
-def pattern_strings(order: int) -> list[str]:
-    """Digit strings of all D! patterns in id order: ``"01234"`` is id 1 at order 5."""
+def pattern_strings(order: int) -> np.ndarray:
+    """Digit strings of all D! patterns in id order, as a ``U<D>`` array.
+
+    ``"01234"`` is id 1 at order 5.  Ids are lexicographic ranks, so the
+    strings are sorted.
+    """
     table = pattern_table(order)
     # one ASCII digit per cell (D <= 10), each row viewed as one byte string
     chars = (table + ord("0")).astype(np.uint8)
-    return chars.view(f"S{table.shape[1]}").ravel().astype(str).tolist()
+    return chars.view(f"S{table.shape[1]}").ravel().astype(str)
 
 
 def position_counts(counts, order: int) -> np.ndarray:
@@ -211,7 +215,7 @@ def _count_rows(rows: np.ndarray, label: str, dropped_points: int) -> PatternDis
     )
 
 
-def count_windows(windows: np.ndarray, label: str = "", dropped_points: int = 0) -> PatternDistribution:
+def count_windows(windows: np.ndarray, label: str = "") -> PatternDistribution:
     """Count patterns over an explicit (n, D) block of windows.
 
     Of equal values the earlier day ranks lower; the windows holding any
@@ -223,7 +227,7 @@ def count_windows(windows: np.ndarray, label: str = "", dropped_points: int = 0)
     _validate_order(rows.shape[1])
     if not np.all(np.isfinite(rows)):
         raise InvalidInputError("windows contain non-finite values")
-    return _count_rows(rows, label, dropped_points)
+    return _count_rows(rows, label, 0)
 
 
 def count_patterns(series, order: int = 5, stride: int | None = None) -> PatternDistribution:

@@ -45,7 +45,6 @@ def test_autocovariance_closed_form_values():
     assert fgn_autocovariance(0.1, [1])[0] < 0  # antipersistent
     assert fgn_autocovariance(0.5, [1, 2, 3]).tolist() == [0.0, 0.0, 0.0]
     assert fgn_autocovariance(0.7, [0])[0] == 1.0
-    assert fgn_autocovariance(0.7, [0], sigma=2.0)[0] == 4.0
 
 
 @pytest.mark.parametrize("hurst", [0.01, 0.1, 0.3, 0.7, 0.9, 0.99, 0.999])
@@ -96,13 +95,13 @@ def test_config_validation():
     with pytest.raises(InvalidInputError):
         FgnConfig(hurst=0.5, length=1)
     with pytest.raises(InvalidInputError):
-        FgnConfig(hurst=0.5, length=100, sigma=0.0)
-    with pytest.raises(InvalidInputError):
         fgn_generate(FgnConfig(hurst=0.5, length=100))  # no seed
     with pytest.raises(InvalidInputError, match="seed must be >= 0"):
         FgnConfig(hurst=0.5, length=100, seed=-1)
     with pytest.raises(InvalidInputError, match="seed must be >= 0"):
         EnsembleConfig(base=FgnConfig(hurst=0.5, length=100), replications=2, master_seed=-1)
+    with pytest.raises(InvalidInputError, match="takes no seed"):
+        EnsembleConfig(base=FgnConfig(hurst=0.5, length=100, seed=3), replications=2, master_seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +132,6 @@ def test_determinism_and_seed_separation():
     assert np.array_equal(fgn_generate(cfg).values, fgn_generate(cfg).values)
     other = fgn_generate(FgnConfig(hurst=0.7, length=2000, seed=6)).values
     assert not np.array_equal(fgn_generate(cfg).values, other)
-
-
-def test_sigma_scales_values():
-    a = fgn_generate(FgnConfig(hurst=0.6, length=1000, seed=3, sigma=1.0)).values
-    b = fgn_generate(FgnConfig(hurst=0.6, length=1000, seed=3, sigma=2.5)).values
-    assert np.allclose(b, 2.5 * a, rtol=1e-12)
 
 
 def test_hosking_matches_circulant_distribution():

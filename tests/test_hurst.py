@@ -89,16 +89,11 @@ def test_short_series_rejected():
         estimate_hurst(np.random.default_rng(0).standard_normal(30))
 
 
-def test_min_window_floor():
-    series = _fgn(0.5, seed=1, length=1000)
+@pytest.mark.parametrize("length", [63, 64, 67])
+def test_series_without_a_window_above_16_rejected(length):
+    # windows run from 16 to length/4, which is at most 16 here
     with pytest.raises(InvalidInputError):
-        estimate_hurst(series, min_window=4)
-
-
-def test_max_window_bound():
-    series = _fgn(0.5, seed=1, length=1000)
-    with pytest.raises(InvalidInputError):
-        estimate_hurst(series, max_window=400)  # > length/4
+        estimate_hurst(np.random.default_rng(0).standard_normal(length))
 
 
 def test_estimate_structure():
@@ -110,7 +105,7 @@ def test_estimate_structure():
 
 
 def test_window_grid_geometric():
-    grid = window_grid(16, 2500)
+    grid = window_grid(10_000)
     assert grid[0] == 16
     assert grid[-1] <= 2500
     assert len(grid) >= 8

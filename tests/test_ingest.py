@@ -17,7 +17,6 @@ from ordinal_seasonality.errors import (
 )
 from ordinal_seasonality.ingest import (
     ReturnSeries,
-    SubperiodSpec,
     calendar_weeks,
     load_csv,
     log_returns,
@@ -95,8 +94,8 @@ def test_load_requires_exactly_one_value_column(tmp_path):
 def test_load_gzip_and_delimiter(tmp_path):
     path = tmp_path / "data.csv.gz"
     with gzip.open(path, "wt", encoding="utf-8") as handle:
-        handle.write("ret;x\n0.01;a\n-0.02;b\n")
-    series = load_csv(path, return_column="ret", delimiter=";")
+        handle.write("ret,x\n0.01,a\n-0.02,b\n")
+    series = load_csv(path, return_column="ret")
     assert np.allclose(series.values, [0.01, -0.02])
 
 
@@ -249,7 +248,7 @@ def test_header_with_quoted_newline_loads_as_row_loop(tmp_path, dated):
     text = 'date,close,"note\n2020-01-03,9.5,x"\n2020-01-06,1.5,"a\n"",b"\n2020-01-07,2.5,c\n2020-01-08,3.5,d\n'
     path = _write(tmp_path, "header.csv", text)
     date_column = "date" if dated else None
-    assert _load_bulk(path, "close", date_column, ",") is None
+    assert _load_bulk(path, "close", date_column) is None
     _assert_bulk_matches_rows(path, date_column)
     assert load_csv(path, date_column=date_column, return_column="close").values.tolist() == [1.5, 2.5, 3.5]
 
@@ -260,7 +259,7 @@ def test_header_with_quoted_newline_loads_as_row_loop(tmp_path, dated):
 )
 def test_golden_inputs_take_the_bulk_path(name, value_column, date_column):
     path = GOLDENS / name
-    values, dates = _load_bulk(path, value_column, date_column, ",")
+    values, dates = _load_bulk(path, value_column, date_column)
     expected_values, expected_dates = _load_rows(path, value_column, date_column)
     assert values.tobytes() == expected_values.tobytes()
     if date_column is None:
@@ -272,7 +271,7 @@ def test_golden_inputs_take_the_bulk_path(name, value_column, date_column):
 @pytest.mark.parametrize("suffix", [".bz2", ".xz", ".lzma"])
 def test_plain_text_with_a_numpy_compression_suffix_loads(tmp_path, suffix):
     path = _write(tmp_path, f"returns.csv{suffix}", "date,ret\n2020-01-06,0.1\n2020-01-07,-0.2\n")
-    assert _load_bulk(path, "ret", "date", ",") is None
+    assert _load_bulk(path, "ret", "date") is None
     series = load_csv(path, date_column="date", return_column="ret")
     assert series.values.tolist() == [0.1, -0.2]
     assert series.dates.tolist() == [date(2020, 1, 6), date(2020, 1, 7)]
@@ -325,7 +324,7 @@ def test_price_file_loses_one_row_to_differencing(tmp_path):
 
 def test_split_paper_shaped_subperiods():
     series = ReturnSeries(values=np.arange(13550, dtype=float))
-    parts = split_subperiods(series, SubperiodSpec((3050, 3050, 3050, 3050, 1350)))
+    parts = split_subperiods(series, [3050, 3050, 3050, 3050, 1350])
     assert [len(p) for p in parts] == [3050, 3050, 3050, 3050, 1350]
     assert np.array_equal(np.concatenate([p.values for p in parts]), series.values)
 
@@ -333,12 +332,19 @@ def test_split_paper_shaped_subperiods():
 def test_split_mismatch():
     series = ReturnSeries(values=np.arange(10, dtype=float))
     with pytest.raises(InvalidInputError):
-        split_subperiods(series, SubperiodSpec((3, 3)))
+        split_subperiods(series, [3, 3])
+
+
+@pytest.mark.parametrize("lengths", [[], [0, 10], [-1, 11]], ids=["empty", "zero", "negative"])
+def test_split_rejects_empty_or_non_positive_lengths(lengths):
+    series = ReturnSeries(values=np.arange(10, dtype=float))
+    with pytest.raises(InvalidInputError):
+        split_subperiods(series, lengths)
 
 
 def test_split_identity():
     series = ReturnSeries(values=np.arange(7, dtype=float), label="x")
-    (only,) = split_subperiods(series, SubperiodSpec((7,)))
+    (only,) = split_subperiods(series, [7])
     assert np.array_equal(only.values, series.values)
 
 
@@ -346,7 +352,7 @@ def test_split_preserves_dates():
     start = date(2020, 1, 6)
     dates = tuple(start + timedelta(days=i) for i in range(10))
     series = ReturnSeries(values=np.arange(10, dtype=float), dates=dates)
-    parts = split_subperiods(series, SubperiodSpec((4, 6)))
+    parts = split_subperiods(series, [4, 6])
     assert np.array_equal(parts[0].dates, np.array(dates[:4], dtype="datetime64[D]"))
     assert np.array_equal(parts[1].dates, np.array(dates[4:], dtype="datetime64[D]"))
 

@@ -119,7 +119,7 @@ def test_table_rows_are_sorted_permutations_with_consecutive_ranks(order):
     assert [tuple(row) for row in table.tolist()] == sorted(permutations(range(order)))
     ranks = [lexicographic_rank(row, order) for row in table.tolist()]
     assert ranks == list(range(1, math.factorial(order) + 1))
-    assert pattern_strings(order) == ["".join(map(str, row)) for row in table.tolist()]
+    assert pattern_strings(order).tolist() == ["".join(map(str, row)) for row in table.tolist()]
 
 
 @pytest.mark.parametrize("order", [9, 10])

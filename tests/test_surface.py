@@ -1,8 +1,9 @@
 """What callers outside the package rely on: the exported names, README's
 library example and the module attributes the benchmark tracer patches.
 
-The exported names are listed here in full, so adding or dropping one is
-a visible edit of this file.
+The exported names are listed here in full, and so are the parameters of
+each exported function and the fields of each exported dataclass, so adding
+or dropping a name or a parameter is a visible edit of this file.
 
 ``bench/tracer.py`` wraps names in the ``cli``, ``fgn`` and ``stats``
 namespaces by ``getattr``, so a refactor that drops one of them breaks
@@ -12,8 +13,10 @@ failure.  The tracer module is only read, never installed.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -39,7 +42,6 @@ PUBLIC_NAMES = [
     "ReturnSeries",
     "SchemaError",
     "SimulationReport",
-    "SubperiodSpec",
     "TestOutcome",
     "binomial_test",
     "calendar_weeks",
@@ -66,10 +68,70 @@ PUBLIC_NAMES = [
 ]
 
 
+# function -> parameter names, dataclass -> field names; error and enum classes are pinned by name
+PUBLIC_SIGNATURES = {
+    "EnsembleConfig": ("base", "replications", "master_seed"),
+    "FgnConfig": ("hurst", "length", "seed"),
+    "HurstEstimate": ("h", "method", "window_sizes", "fit_points", "r_squared"),
+    "PatternDistribution": ("order", "counts", "windows", "ties_observed", "dropped_points", "label"),
+    "ReturnSeries": ("values", "dates", "label"),
+    "SimulationReport": (
+        "hurst",
+        "length",
+        "replications",
+        "master_seed",
+        "order",
+        "weeks_per_replication",
+        "generator",
+        "h1",
+        "h2",
+        "h3",
+        "h4",
+        "h5",
+    ),
+    "TestOutcome": ("statistic", "df", "p_value", "reject_10", "reject_05", "reject_01", "observed"),
+    "binomial_test": ("p_e", "p_o", "weeks", "payload"),
+    "calendar_weeks": ("series",),
+    "chi2_sf": ("x", "df"),
+    "chi2_statistic": ("observed",),
+    "count_patterns": ("series", "order", "stride"),
+    "count_windows": ("windows", "label"),
+    "estimate_hurst": ("series", "method"),
+    "family_share": ("kind", "order"),
+    "fgn_autocovariance": ("hurst", "lags"),
+    "fgn_generate": ("cfg",),
+    "load_csv": ("path", "date_column", "price_column", "return_column"),
+    "log_returns": ("prices",),
+    "normal_sf": ("z",),
+    "pattern_family": ("kind", "order"),
+    "position_matrix": ("dist",),
+    "run_ensemble": ("cfg", "jobs"),
+    "split_subperiods": ("series", "lengths"),
+    "test_h1_pattern_uniformity": ("dist",),
+    "test_h2_day_rows": ("matrix",),
+    "test_h3_position_columns": ("matrix",),
+    "test_h4_monday_largest": ("dist",),
+    "test_h5_monday_worst_friday_best": ("dist",),
+}
+
+
 def test_public_names_are_pinned():
     assert sorted(ordinal_seasonality.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(ordinal_seasonality, name, None) is not None, name
+
+
+def _signature(obj) -> tuple[str, ...] | None:
+    if dataclasses.is_dataclass(obj):
+        return tuple(field.name for field in dataclasses.fields(obj))
+    if isinstance(obj, type):
+        return None
+    return tuple(inspect.signature(obj).parameters)
+
+
+def test_public_signatures_are_pinned():
+    signatures = {name: _signature(getattr(ordinal_seasonality, name)) for name in PUBLIC_NAMES}
+    assert {name: sig for name, sig in signatures.items() if sig is not None} == PUBLIC_SIGNATURES
 
 
 def _load_tracer():
