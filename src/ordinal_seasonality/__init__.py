@@ -1,13 +1,6 @@
 """Day-of-the-week seasonality detection via ordinal-pattern statistics."""
 
-from .errors import (
-    DegenerateSeriesError,
-    InvalidInputError,
-    OrderError,
-    OrdinalSeasonalityError,
-    RejectedRowError,
-    SchemaError,
-)
+from .errors import InvalidInputError
 from .fgn import (
     EnsembleConfig,
     FgnConfig,
@@ -49,19 +42,14 @@ from .stats import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateSeriesError",
     "EnsembleConfig",
     "FgnConfig",
     "HurstEstimate",
     "HurstMethod",
     "InvalidInputError",
-    "OrderError",
-    "OrdinalSeasonalityError",
     "PatternDistribution",
     "PatternFamily",
-    "RejectedRowError",
     "ReturnSeries",
-    "SchemaError",
     "SimulationReport",
     "TestOutcome",
     "binomial_test",

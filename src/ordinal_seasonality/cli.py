@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, OrdinalSeasonalityError
+from .errors import InvalidInputError
 from .fgn import (
     EnsembleConfig,
     FgnConfig,
@@ -62,7 +62,7 @@ from .stats import (
 log = logging.getLogger(__name__)
 
 # OSError: missing, unreadable or directory paths, corrupt gzip
-_INPUT_ERRORS = (OrdinalSeasonalityError, OSError, UnicodeDecodeError)
+_INPUT_ERRORS = (InvalidInputError, OSError, UnicodeDecodeError)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +343,8 @@ def to_flat_csv(doc) -> str:
 
 
 def _outcome_dict(outcome: TestOutcome, alpha: float) -> dict:
-    statistic = outcome.statistic if math.isfinite(outcome.statistic) else None
     doc = {
-        "statistic": statistic,
+        "statistic": outcome.statistic,  # non-finite: null in JSON, an empty CSV field
         "df": outcome.df,
         "p_value": outcome.p_value,
         "stars": outcome.stars(),
@@ -715,8 +714,6 @@ def _hurst_list(text: str) -> list[float]:
         if not 0.0 < h < 1.0:
             raise argparse.ArgumentTypeError(f"hurst exponent {h} outside (0, 1)")
         values.append(h)
-    if not values:
-        raise argparse.ArgumentTypeError("empty hurst list")
     return values
 
 

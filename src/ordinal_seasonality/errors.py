@@ -1,25 +1,9 @@
-"""Exception types shared across the package."""
+"""The package's one exception type."""
 
 
-class OrdinalSeasonalityError(Exception):
-    """Base class for all package errors."""
+class InvalidInputError(ValueError):
+    """Input violates a precondition: a malformed file or row, a wrong length, a non-finite value, ...
 
-
-class InvalidInputError(OrdinalSeasonalityError, ValueError):
-    """Input violates a precondition (wrong length, non-finite value, ...)."""
-
-
-class SchemaError(OrdinalSeasonalityError, ValueError):
-    """A file does not match the declared column schema."""
-
-
-class OrderError(OrdinalSeasonalityError, ValueError):
-    """Dates are not strictly increasing."""
-
-
-class RejectedRowError(OrdinalSeasonalityError, ValueError):
-    """A row is structurally unusable (e.g. weekend date in daily equity data)."""
-
-
-class DegenerateSeriesError(OrdinalSeasonalityError, ValueError):
-    """The series carries no variation to analyze (e.g. constant values)."""
+    The message names what failed, with ``row N:`` when a CSV data row is at
+    fault.  The CLI reports it as ``error: <message>`` and exits 2.
+    """

@@ -155,8 +155,6 @@ def nyse_fixture_distribution() -> PatternDistribution:
     """
     base = _pattern_counts_array(5, NYSE_PATTERN_COUNTS)
     residual = NYSE_POSITION_MATRIX - position_counts(base, 5).astype(np.int64)
-    if (residual < 0).any():  # pragma: no cover - embedded data is fixed
-        raise InvalidInputError("bundled histogram exceeds the bundled matrix")
     protected = frozenset(_pattern_ids(5, ("42013", "03421", "04312")).tolist())
     caps = np.maximum(33 - base, 0)
     extra = decompose_position_matrix(residual, forbidden_ids=protected, caps=caps)
@@ -188,8 +186,6 @@ def series_from_distribution(dist: PatternDistribution) -> ReturnSeries:
     window the day at rank r receives the r-th of D evenly spaced levels
     in [-0.02, 0.02].
     """
-    if dist.windows == 0:
-        raise InvalidInputError("distribution has no windows")
     levels = np.linspace(-0.02, 0.02, dist.order)
     # the day at rank r of pattern k is table[k, r], so day i gets the level of its rank
     windows = levels[np.argsort(pattern_table(dist.order), axis=1)]

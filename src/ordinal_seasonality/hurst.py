@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, InvalidInputError
+from .errors import InvalidInputError
 
 MIN_WINDOW = 16  # cuts the small-window transient that drags estimates toward 0.5
 MIN_FIT_POINTS = 4
@@ -50,13 +50,16 @@ class HurstEstimate:
 
 
 def window_grid(length: int) -> np.ndarray:
-    """Geometric grid of integer window sizes from 16 to ``length // 4``, inclusive."""
+    """Geometric grid of integer window sizes from 16 to ``length // 4``, inclusive.
+
+    The sizes strictly increase: for w >= 16, round(1.5 w) - round(w) >= 7.
+    """
     sizes = []
     w = float(MIN_WINDOW)
     while round(w) <= length // 4:
         sizes.append(int(round(w)))
         w *= GRID_RATIO
-    return np.asarray(sorted(set(sizes)), dtype=int)
+    return np.asarray(sizes, dtype=int)
 
 
 @lru_cache(maxsize=256)
@@ -75,7 +78,8 @@ def _rescaled_range(values: np.ndarray, window: int) -> float | None:
     """Mean R/S over the non-overlapping blocks of one window size.
 
     :func:`estimate_hurst` caps the window at a quarter of the series, so
-    there are at least four blocks.
+    there are at least four blocks.  A block with a positive std has a
+    non-constant profile, hence a positive range, so the mean is positive.
     """
     blocks = values.size // window
     segs = values[: blocks * window].reshape(blocks, window)
@@ -121,7 +125,7 @@ def estimate_hurst(series, method: HurstMethod = HurstMethod.RS) -> HurstEstimat
     if not np.all(np.isfinite(values)):
         raise InvalidInputError("series contains non-finite values")
     if np.ptp(values) == 0:
-        raise DegenerateSeriesError(
+        raise InvalidInputError(
             "constant series has no Hurst exponent: its range and fluctuation are zero"
         )
 
@@ -133,7 +137,7 @@ def estimate_hurst(series, method: HurstMethod = HurstMethod.RS) -> HurstEstimat
     for w in sizes:
         if method is HurstMethod.RS:
             rs = _rescaled_range(values, int(w))
-            if rs is None or rs <= 0:
+            if rs is None:
                 continue
             stat = rs * math.sqrt(w) / expected_rescaled_range(int(w))
         else:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, OrderError, RejectedRowError, SchemaError
+from .errors import InvalidInputError
 
 
 @dataclass
@@ -44,7 +44,7 @@ class ReturnSeries:
                 raise InvalidInputError("dates and values must have the same length")
             breaks = np.flatnonzero(~(dates[1:] > dates[:-1]))
             if breaks.size:
-                raise OrderError(f"dates not strictly increasing at {dates[breaks[0] + 1]}")
+                raise InvalidInputError(f"dates not strictly increasing at {dates[breaks[0] + 1]}")
             self.dates = dates
 
     def __len__(self) -> int:
@@ -68,7 +68,7 @@ def _parse_date(text: str, row: int) -> date:
     try:
         return date.fromisoformat(text)
     except ValueError as exc:
-        raise SchemaError(f"row {row}: unparseable date {text!r}") from exc
+        raise InvalidInputError(f"row {row}: unparseable date {text!r}") from exc
 
 
 def _read_header(reader, path: Path, value_column: str, date_column: str | None):
@@ -81,7 +81,7 @@ def _read_header(reader, path: Path, value_column: str, date_column: str | None)
     columns = {name: idx for idx, name in enumerate(header)}
     for needed in filter(None, (date_column, value_column)):
         if needed not in columns:
-            raise SchemaError(f"{path}: missing column {needed!r} (header: {header})")
+            raise InvalidInputError(f"{path}: missing column {needed!r} (header: {header})")
     return header, columns[value_column], columns[date_column] if date_column else None
 
 
@@ -92,24 +92,19 @@ def _iso_dates(cells: np.ndarray) -> np.ndarray | None:
     """``datetime64[D]`` of (n, 11) uint8 cells that are exactly ``YYYY-MM-DD``.
 
     Returns None unless every cell is a date ``date.fromisoformat`` accepts
-    in that form.  numpy's own string cast is not used: it reads ``2020-01``
-    as 2020-01-01.
+    in that form.  The bytes are checked for that shape first, since
+    numpy's string cast also reads ``2020-01`` as 2020-01-01 and accepts
+    year 0; the cast then rejects a month or day out of range.
     """
     if not ((cells[:, 4] == ord("-")) & (cells[:, 7] == ord("-")) & (cells[:, 10] == 0)).all():
         return None
-    digit = {k: cells[:, k] - np.uint8(ord("0")) for k in (0, 1, 2, 3, 5, 6, 8, 9)}
-    if any((d > 9).any() for d in digit.values()):  # below "0" wraps around
+    digits = cells[:, [0, 1, 2, 3, 5, 6, 8, 9]] - np.uint8(ord("0"))  # below "0" wraps around
+    if (digits > 9).any() or (digits[:, :4] == 0).all(axis=1).any():  # or year 0000
         return None
-    year = ((digit[0].astype(np.int16) * 10 + digit[1]) * 10 + digit[2]) * 10 + digit[3]
-    month = digit[5] * 10 + digit[6]
-    day = digit[8] * 10 + digit[9]
-    if (year < 1).any() or ((month < 1) | (month > 12)).any() or (day < 1).any():
+    try:
+        return cells[:, :10].view("S10")[:, 0].astype("datetime64[D]")
+    except ValueError:
         return None
-    months = ((year.astype(np.int32) - 1970) * 12 + (month - 1)).astype("datetime64[M]")
-    first = months.astype("datetime64[D]")
-    if (day > ((months + 1).astype("datetime64[D]") - first).astype(np.int64)).any():
-        return None
-    return first + (day - 1)
 
 
 # numpy opens a path with these suffixes through a decompressor; load_csv reads them as text
@@ -174,19 +169,19 @@ def _load_rows(path: Path, value_column: str, date_column: str | None):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) <= vcol or (dcol is not None and len(row) <= dcol):
-                raise SchemaError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
+                raise InvalidInputError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
             cell = row[vcol].strip()
             try:
                 value = float(cell)
             except ValueError:
-                raise SchemaError(f"row {row_no}: unparseable value {cell!r}") from None
+                raise InvalidInputError(f"row {row_no}: unparseable value {cell!r}") from None
             if not math.isfinite(value):
-                raise SchemaError(f"row {row_no}: non-finite value {cell!r}")
+                raise InvalidInputError(f"row {row_no}: non-finite value {cell!r}")
             values.append(value)
             if dcol is not None:
                 day = _parse_date(row[dcol], row_no)
                 if dates and day <= dates[-1]:
-                    raise OrderError(f"row {row_no}: date {day} is not after {dates[-1]}")
+                    raise InvalidInputError(f"row {row_no}: date {day} is not after {dates[-1]}")
                 dates.append(day)
 
     if not values:
@@ -213,10 +208,11 @@ def load_csv(
     increase, the file holds a NUL character, the header spans more than
     one line or the name ends in ``.bz2``, ``.xz`` or ``.lzma``, the file
     is read row by row, which gives the same result or raises
-    :class:`SchemaError` or :class:`OrderError` naming the 1-based data row.
+    :class:`~ordinal_seasonality.errors.InvalidInputError` naming the
+    1-based data row.
     """
     if (price_column is None) == (return_column is None):
-        raise SchemaError("exactly one of price_column and return_column is required")
+        raise InvalidInputError("exactly one of price_column and return_column is required")
     value_column = price_column if price_column is not None else return_column
 
     path = Path(path)
@@ -281,7 +277,7 @@ def calendar_weeks(series: ReturnSeries) -> WeekWindows:
     weekday = (days + 3) % 7  # Monday = 0; 1970-01-01 was a Thursday
     weekend = np.flatnonzero(weekday > 4)
     if weekend.size:
-        raise RejectedRowError(f"weekend date {series.dates[weekend[0]]}")
+        raise InvalidInputError(f"weekend date {series.dates[weekend[0]]}")
 
     monday = days - weekday
     starts = np.flatnonzero(np.diff(monday, prepend=monday[0] - 1))

@@ -118,7 +118,7 @@ def family_index(kind: PatternFamily, order: int) -> np.ndarray:
         members = table[:, -1] == 0
     elif kind is PatternFamily.MONDAY_WORST_FRIDAY_BEST:
         members = (table[:, 0] == 0) & (table[:, -1] == order - 1)
-    else:  # pragma: no cover - enum is closed
+    else:  # a kind that is not a PatternFamily
         raise InvalidInputError(f"unknown family {kind!r}")
     rows = np.flatnonzero(members)
     rows.flags.writeable = False

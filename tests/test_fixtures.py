@@ -12,7 +12,7 @@ from ordinal_seasonality.fixtures import (
     nyse_shuffled_distribution,
     series_from_distribution,
 )
-from ordinal_seasonality.patterns import count_patterns, pattern_strings
+from ordinal_seasonality.patterns import PatternDistribution, count_patterns, pattern_strings
 from ordinal_seasonality.stats import (
     chi2_statistic,
     position_matrix,
@@ -103,6 +103,12 @@ def test_series_realizes_fixture_counts():
     assert len(series) == 13550
     recounted = count_patterns(series, order=5, stride=5)
     assert np.array_equal(recounted.counts, dist.counts)
+
+
+def test_series_from_distribution_rejects_zero_windows():
+    empty = PatternDistribution(order=5, counts=np.zeros(120, dtype=np.int64), windows=0)
+    with pytest.raises(InvalidInputError, match="^series must be a non-empty 1-d sequence$"):
+        series_from_distribution(empty)
 
 
 def test_whole_period_q_from_series():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ordinal_seasonality.errors import DegenerateSeriesError, InvalidInputError
+from ordinal_seasonality.errors import InvalidInputError
 from ordinal_seasonality.fgn import FgnConfig, fgn_generate
 from ordinal_seasonality.hurst import (
     HurstMethod,
@@ -80,7 +80,7 @@ def test_dfa_scale_invariance():
 
 
 def test_constant_series_is_degenerate():
-    with pytest.raises(DegenerateSeriesError):
+    with pytest.raises(InvalidInputError, match="^constant series has no Hurst exponent"):
         estimate_hurst(np.ones(1000))
 
 
@@ -111,6 +111,15 @@ def test_window_grid_geometric():
     assert len(grid) >= 8
     ratios = grid[1:] / grid[:-1]
     assert (ratios > 1.2).all() and (ratios < 1.8).all()
+
+
+def test_window_grid_strictly_increases():
+    full = window_grid(10**7)
+    assert full[0] == 16 and (np.diff(full) > 0).all()
+    # a grid changes only where length // 4 reaches a size: check both sides of each
+    lengths = np.concatenate([[68, 10**7], 4 * full - 1, 4 * full])
+    for n in lengths[(lengths >= 68) & (lengths <= 10**7)].tolist():
+        assert np.array_equal(window_grid(n), full[full <= n // 4]), n
 
 
 def test_expected_rescaled_range_asymptotics():

@@ -336,3 +336,8 @@ def test_family_cardinalities(order):
 def test_family_requires_order_three():
     with pytest.raises(InvalidInputError):
         pattern_family(PatternFamily.MONDAY_LARGEST, 2)
+
+
+def test_family_rejects_a_kind_that_is_not_a_family():
+    with pytest.raises(InvalidInputError, match="^unknown family 'monday-largest'$"):
+        family_index("monday-largest", 5)

@@ -96,6 +96,8 @@ def test_q_errors():
         chi2_statistic((0, 0, 0))
     with pytest.raises(InvalidInputError):
         chi2_statistic((5,))
+    with pytest.raises(InvalidInputError, match="^observed counts must be one-dimensional$"):
+        chi2_statistic([[10, 12], [11, 9]])
 
 
 @settings(max_examples=100)
@@ -121,6 +123,11 @@ def test_h1_uniform_counts():
     assert outcome.statistic == 0.0
     assert outcome.p_value == pytest.approx(1.0)
     assert outcome.df == 119
+
+
+def test_h1_rejects_a_distribution_without_windows():
+    with pytest.raises(InvalidInputError, match="^total observed count must be positive$"):
+        h1_test(_dist_from_counts([0] * 120))
 
 
 def test_h1_small_bump_not_rejected():

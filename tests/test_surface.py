@@ -1,9 +1,12 @@
-"""What callers outside the package rely on: the exported names, README's
-library example and the module attributes the benchmark tracer patches.
+"""What callers outside the package rely on: the exported names, the one
+exception type, README's library example and the module attributes the
+benchmark tracer patches.
 
 The exported names are listed here in full, and so are the parameters of
 each exported function and the fields of each exported dataclass, so adding
-or dropping a name or a parameter is a visible edit of this file.
+or dropping a name or a parameter is a visible edit of this file.  So is a
+new exception class anywhere in the package (the ``__main__`` module aside,
+which runs the CLI when imported).
 
 ``bench/tracer.py`` wraps names in the ``cli``, ``fgn`` and ``stats``
 namespaces by ``getattr``, so a refactor that drops one of them breaks
@@ -17,6 +20,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -28,19 +32,14 @@ import ordinal_seasonality
 ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = [
-    "DegenerateSeriesError",
     "EnsembleConfig",
     "FgnConfig",
     "HurstEstimate",
     "HurstMethod",
     "InvalidInputError",
-    "OrderError",
-    "OrdinalSeasonalityError",
     "PatternDistribution",
     "PatternFamily",
-    "RejectedRowError",
     "ReturnSeries",
-    "SchemaError",
     "SimulationReport",
     "TestOutcome",
     "binomial_test",
@@ -119,6 +118,18 @@ def test_public_names_are_pinned():
     assert sorted(ordinal_seasonality.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(ordinal_seasonality, name, None) is not None, name
+
+
+def test_package_defines_one_exception_class():
+    names = [m.name for m in pkgutil.iter_modules(ordinal_seasonality.__path__) if m.name != "__main__"]
+    modules = [ordinal_seasonality, *(importlib.import_module(f"ordinal_seasonality.{n}") for n in names)]
+    defined = {
+        f"{obj.__module__}.{obj.__qualname__}"
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__
+    }
+    assert defined == {"ordinal_seasonality.errors.InvalidInputError"}
 
 
 def _signature(obj) -> tuple[str, ...] | None:
