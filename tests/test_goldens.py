@@ -54,10 +54,8 @@ CASES = {
         "--weeks", "calendar", "--subperiods", "150,150",
     ],
     "analyze-d6.json": ["analyze", "--input", RETURNS, "--column", "ret", "--d", "6"],
-    # overlapping windows over tie-heavy data
-    "analyze-ties.json": [
-        "analyze", "--input", TIES, "--column", "ret", "--d", "4", "--stride", "1",
-    ],
+    # tie-heavy data: most windows hold tied values
+    "analyze-ties.json": ["analyze", "--input", TIES, "--column", "ret", "--d", "4"],
     "simulate.json": [
         "simulate", "--hurst", "0.3,0.7", "--length", "1000", "--reps", "6", "--seed", "11",
     ],
