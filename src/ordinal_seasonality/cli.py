@@ -406,8 +406,7 @@ def _analyze_distribution(part: ReturnSeries, args) -> tuple[PatternDistribution
             raise InvalidInputError(f"{part.label}: no complete Monday-Friday weeks")
         dist = count_windows(grouped.windows, label=part.label)
         return dist, grouped.skipped_weeks
-    stride = args.stride if args.stride is not None else args.d
-    return count_patterns(part, order=args.d, stride=stride), None
+    return count_patterns(part, order=args.d), None
 
 
 def _analyze_section(part: ReturnSeries, args) -> dict:
@@ -429,7 +428,7 @@ def _analyze_section(part: ReturnSeries, args) -> dict:
         "skipped_weeks": skipped_weeks,
         "ties": {
             "windows_with_ties": dist.ties_observed,
-            "fraction": dist.ties_observed / dist.windows if dist.windows else 0.0,
+            "fraction": dist.ties_observed / dist.windows,
         },
         "pattern_counts": _pattern_listing(dist.order, dist.counts),
         "position_matrix": {
@@ -485,8 +484,6 @@ def _log_section_decisions(label: str, dist: PatternDistribution, chi_outcomes) 
 def cmd_analyze(args) -> int:
     if args.weeks == "calendar" and args.d != 5:
         raise InvalidInputError("calendar week partitioning is defined for --d 5")
-    if args.weeks == "calendar" and args.stride is not None:
-        raise InvalidInputError("--stride applies to --weeks block, not to calendar weeks")
     series = _load_series(args)
     if args.subperiods:
         parts = split_subperiods(series, args.subperiods)
@@ -534,7 +531,6 @@ def simulation_row(report, alpha: float) -> dict:
         "hurst": report.hurst,
         "weeks": report.weeks_per_replication,
         "generator": report.generator,
-        "z_weeks": report.weeks_per_replication,
         "h1": _chi_aggregate_dict(report.h1, alpha),
         "h2": [_chi_aggregate_dict(a, alpha) for a in report.h2],
         "h3": [_chi_aggregate_dict(a, alpha) for a in report.h3],
@@ -597,7 +593,7 @@ def cmd_shuffle(args) -> int:
         raise InvalidInputError("series shorter than one window")
 
     replicate = partial(shuffle_replication, series.values, order, args.seed)
-    _, p_values = run_replications(replicate, args.reps, args.jobs)
+    p_values = np.stack(run_replications(replicate, args.reps, args.jobs))
     rejections = tally_rejections(p_values)
     h2 = slice(1, 1 + order)
     h3 = slice(1 + order, 1 + 2 * order)
@@ -767,7 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(analyze)
     analyze.add_argument("--weeks", choices=("block", "calendar"), default="block")
     analyze.add_argument("--d", type=int, default=5, help="pattern order (window length)")
-    analyze.add_argument("--stride", type=int, default=None, help="window stride (default: --d)")
     analyze.add_argument("--subperiods", type=_subperiod_list, default=None)
     analyze.add_argument("--hurst", action="store_true", help="include a Hurst estimate per section")
     analyze.add_argument("--method", choices=("rs", "dfa"), default="rs")

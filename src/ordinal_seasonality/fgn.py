@@ -151,12 +151,12 @@ def replication_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)))
 
 
-# one replication's pattern counts, and its 2D+3 p-values in the order
-# H1, H2 per day, H3 per position, H4, H5 (NaN for H4/H5 below order 3)
-Replication = tuple[np.ndarray, np.ndarray]
+def _tested(dist: PatternDistribution) -> np.ndarray:
+    """The 2D+3 test p-values of one replication.
 
-
-def _tested(dist: PatternDistribution) -> Replication:
+    In the order H1, H2 per day, H3 per position, H4, H5 (NaN for H4/H5
+    below order 3).
+    """
     matrix = position_matrix(dist)
     outcomes = [
         test_h1_pattern_uniformity(dist),
@@ -166,47 +166,43 @@ def _tested(dist: PatternDistribution) -> Replication:
     if dist.order >= 3:
         outcomes += [test_h4_monday_largest(dist), test_h5_monday_worst_friday_best(dist)]
     p_values = [o.p_value for o in outcomes] + [math.nan] * (2 * dist.order + 3 - len(outcomes))
-    return dist.counts, np.array(p_values)
+    return np.array(p_values)
 
 
-def fgn_replication(hurst: float, length: int, order: int, master_seed: int, index: int) -> Replication:
-    """Tests on the fGn sample of replication ``index``."""
+def fgn_replication(
+    hurst: float, length: int, order: int, master_seed: int, index: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pattern counts and test p-values of the fGn sample of replication ``index``."""
     rng = replication_rng(master_seed, index)
-    values = _fgn_circulant(length, hurst, rng)
-    return _tested(count_patterns(values, order=order, stride=order))
+    dist = count_patterns(_fgn_circulant(length, hurst, rng), order=order)
+    return dist.counts, _tested(dist)
 
 
-def shuffle_replication(values: np.ndarray, order: int, master_seed: int, index: int) -> Replication:
-    """Tests on the uniformly shuffled copy of ``values`` of replication ``index``."""
+def shuffle_replication(values: np.ndarray, order: int, master_seed: int, index: int) -> np.ndarray:
+    """Test p-values of the uniformly shuffled copy of ``values`` of replication ``index``."""
     rng = replication_rng(master_seed, index)
     # shuffling a copy draws the same swaps as permuting indices, so equals values[permutation(n)]
     shuffled = rng.permutation(values)
-    return _tested(count_patterns(shuffled, order=order, stride=order))
+    return _tested(count_patterns(shuffled, order=order))
 
 
-def run_replications(
-    replicate: Callable[[int], Replication], reps: int, jobs: int
-) -> tuple[np.ndarray, np.ndarray]:
+def run_replications(replicate: Callable[[int], object], reps: int, jobs: int) -> list:
     """Run ``replicate(index)`` for every index in ``range(reps)``.
 
     ``replicate`` must pickle for ``jobs > 1``: a module-level replication
-    function bound with :func:`functools.partial`.  Returns the (reps, D!)
-    pattern counts and the (reps, 2D+3) p-values, row ``r`` from
-    replication ``r``.  Each replication seeds itself from its index and
-    ``Executor.map`` yields results in input order, so the output does not
-    depend on ``jobs``.
+    function bound with :func:`functools.partial`.  Returns the results in
+    index order, item ``r`` from replication ``r``.  Each replication seeds
+    itself from its index and ``Executor.map`` yields results in input
+    order, so the output does not depend on ``jobs``.
     """
     if reps < 1:
         raise InvalidInputError("replications must be >= 1")
     if jobs < 1:
         raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or reps == 1:
-        results = [replicate(index) for index in range(reps)]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, reps)) as pool:
-            results = list(pool.map(replicate, range(reps), chunksize=max(1, reps // (4 * jobs))))
-    counts, p_values = zip(*results)
-    return np.stack(counts), np.stack(p_values)
+        return [replicate(index) for index in range(reps)]
+    with ProcessPoolExecutor(max_workers=min(jobs, reps)) as pool:
+        return list(pool.map(replicate, range(reps), chunksize=max(1, reps // (4 * jobs))))
 
 
 @dataclass(frozen=True)
@@ -299,7 +295,7 @@ def run_ensemble(cfg: EnsembleConfig, jobs: int = 1) -> SimulationReport:
         raise InvalidInputError("length too short for a single week window")
 
     replicate = partial(fgn_replication, base.hurst, base.length, order, cfg.master_seed)
-    counts, p_values = run_replications(replicate, reps, jobs)
+    counts, p_values = map(np.stack, zip(*run_replications(replicate, reps, jobs)))
     rejections = tally_rejections(p_values)
 
     mean_counts = counts.sum(axis=0) / reps

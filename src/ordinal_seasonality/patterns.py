@@ -180,7 +180,7 @@ class PatternDistribution:
 def _pattern_codes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """0-based pattern id and tie flag of each window of a finite (n, D) block.
 
-    ``rows`` may be a strided view.  Day ``a`` sits at position ``rank[a]``
+    ``rows`` need not be contiguous.  Day ``a`` sits at position ``rank[a]``
     of its window's digit string, and the Lehmer digit there is the number
     of earlier days holding a strictly larger value, ``larger_before[a]``:
     the id is the sum over days of ``larger_before[a] * (D - 1 - rank[a])!``.
@@ -230,13 +230,13 @@ def count_windows(windows: np.ndarray, label: str = "") -> PatternDistribution:
     return _count_rows(rows, label, 0)
 
 
-def count_patterns(series, order: int = 5, stride: int | None = None) -> PatternDistribution:
-    """Count ordinal patterns over non-overlapping (or strided) windows.
+def count_patterns(series, order: int = 5) -> PatternDistribution:
+    """Count ordinal patterns over consecutive non-overlapping windows of ``order`` values.
 
     ``series`` may be a plain array or anything with a ``values`` attribute.
-    The default stride equals the order, the week-partition convention; any
-    trailing values too short for a full window are dropped and reported in
-    ``dropped_points``.
+    Window ``k`` holds values ``k * order`` up to ``(k + 1) * order - 1``,
+    one week of the partition; any trailing values too short for a full
+    window are dropped and reported in ``dropped_points``.
     """
     values = np.asarray(getattr(series, "values", series), dtype=float)
     label = str(getattr(series, "label", ""))
@@ -247,10 +247,5 @@ def count_patterns(series, order: int = 5, stride: int | None = None) -> Pattern
         raise InvalidInputError(f"series of length {values.size} is shorter than order {order}")
     if not np.all(np.isfinite(values)):
         raise InvalidInputError("series contains non-finite values")
-    stride = order if stride is None else int(stride)
-    if stride < 1:
-        raise InvalidInputError("stride must be >= 1")
-
-    rows = np.lib.stride_tricks.sliding_window_view(values, order)[::stride]
-    dropped = values.size - ((rows.shape[0] - 1) * stride + order)
-    return _count_rows(rows, label, dropped)
+    windows = values.size // order
+    return _count_rows(values[: windows * order].reshape(windows, order), label, values.size % order)

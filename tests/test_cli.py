@@ -132,7 +132,7 @@ def test_analyze_calendar_mode(returns_csv):
 
 @pytest.mark.parametrize(
     ("flags", "message"),
-    [(["--stride", "1"], "--stride applies to --weeks block"),
+    [(["--stride", "1"], "unrecognized arguments: --stride 1"),
      (["--d", "6"], "calendar week partitioning is defined for --d 5")],
 )
 def test_analyze_calendar_mode_rejects_block_options(capsys, flags, message):
@@ -554,6 +554,20 @@ def test_writing_a_report_holds_under_three_times_its_text(write, form):
     finally:
         tracemalloc.stop()
     assert peak < 3 * len(text), f"peak {peak:,} bytes for {len(text):,} characters"
+
+
+def test_shuffle_memory_does_not_grow_with_the_pattern_table(tmp_path):
+    # 200 replications at order 8: holding each replication's 40,320 counts
+    # would take 200 * 40,320 * 8 bytes = 64.5 MB; only the p-values are kept
+    argv = ["shuffle", "--input", str(GOLDENS / "nyse.csv.gz"), "--column", "ret", "--d", "8",
+            "--reps", "200", "--seed", "11", "--output", str(tmp_path / "shuffle.json")]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak:,} bytes"
 
 
 def test_flat_csv_round_trips_line_breaks_and_quotes():

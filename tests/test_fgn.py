@@ -1,8 +1,9 @@
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import binom, ks_2samp
 
 from ordinal_seasonality.errors import InvalidInputError
 from ordinal_seasonality.fgn import (
@@ -13,11 +14,13 @@ from ordinal_seasonality.fgn import (
     fgn_generate,
     replication_rng,
     run_ensemble,
+    run_replications,
     shuffle_replication,
+    tally_rejections,
 )
 from ordinal_seasonality.ingest import load_csv
 from ordinal_seasonality.patterns import count_patterns
-from ordinal_seasonality.stats import position_matrix
+from ordinal_seasonality.stats import binomial_test, position_matrix
 from ordinal_seasonality.stats import test_h1_pattern_uniformity as h1_test
 from ordinal_seasonality.stats import test_h2_day_rows as h2_test
 from ordinal_seasonality.stats import test_h3_position_columns as h3_test
@@ -267,11 +270,11 @@ def _shuffle_input(source: str) -> np.ndarray:
 
 
 def _tests_on(values: np.ndarray, order: int):
-    """Counts and p-values of the five tests in replication order: H1, H2 rows, H3 columns, H4, H5."""
-    dist = count_patterns(values, order=order, stride=order)
+    """P-values of the five tests in replication order: H1, H2 rows, H3 columns, H4, H5."""
+    dist = count_patterns(values, order=order)
     matrix = position_matrix(dist)
     outcomes = [h1_test(dist), *h2_test(matrix), *h3_test(matrix), h4_test(dist), h5_test(dist)]
-    return dist.counts, [outcome.p_value for outcome in outcomes]
+    return [outcome.p_value for outcome in outcomes]
 
 
 @pytest.mark.parametrize("source", ["tie-free", "ties"])
@@ -280,11 +283,35 @@ def test_shuffle_replication_tests_the_permutation_of_its_stream(source):
     original = values.copy()
     results = []
     for index in (0, 1, 7):
-        counts, p_values = shuffle_replication(values, 5, 11, index)
+        p_values = shuffle_replication(values, 5, 11, index)
         permutation = replication_rng(11, index).permutation(values.size)
-        want_counts, want_p = _tests_on(values[permutation], 5)
-        assert counts.dtype == want_counts.dtype and counts.tobytes() == want_counts.tobytes()
-        assert p_values.tolist() == want_p
-        results.append(counts)
+        assert p_values.tolist() == _tests_on(values[permutation], 5)
+        results.append(p_values)
     assert np.array_equal(values, original)  # the input is shuffled as a copy
     assert all(not np.array_equal(a, b) for a, b in zip(results, results[1:] + results[:1]))
+
+
+def _exact_size(p_e: float, weeks: int, alpha: float) -> float:
+    """Exact size of ``binomial_test`` at ``alpha`` under Binomial(weeks, p_e).
+
+    The size is the binomial mass of the observed counts that it rejects.
+    """
+    counts = np.arange(weeks + 1)
+    region = [binomial_test(p_e, k / weeks, weeks).p_value < alpha for k in counts]
+    return float(binom.pmf(counts[region], weeks, p_e).sum())
+
+
+def test_family_rejections_of_untied_shuffles_match_the_exact_binomial_size():
+    # distinct values: the patterns of shuffled non-overlapping weeks are
+    # i.i.d. uniform, so H4 counts Binomial(W, 1/5) and H5 Binomial(W, 1/20)
+    values = np.random.default_rng(3).standard_normal(2000)
+    weeks, reps = 400, 400
+    p_values = np.stack(run_replications(partial(shuffle_replication, values, 5, 11), reps, 1))
+    h4, h5 = tally_rejections(p_values)[-2:]
+    for rejections, p_e in ((h4, 1 / 5), (h5, 1 / 20)):
+        size = _exact_size(p_e, weeks, 0.05)
+        low, high = binom.interval(0.999, reps, size)
+        assert low <= rejections.at_05 <= high, (p_e, size, rejections.at_05)
+    # the z-test's true size at nominal 5%: near it for H4, well above it for H5
+    assert _exact_size(1 / 5, weeks, 0.05) == pytest.approx(0.0540, abs=1e-4)
+    assert _exact_size(1 / 20, weeks, 0.05) == pytest.approx(0.0728, abs=1e-4)

@@ -101,7 +101,7 @@ def test_series_realizes_fixture_counts():
     dist = nyse_fixture_distribution()
     series = series_from_distribution(dist)
     assert len(series) == 13550
-    recounted = count_patterns(series, order=5, stride=5)
+    recounted = count_patterns(series, order=5)
     assert np.array_equal(recounted.counts, dist.counts)
 
 
@@ -113,7 +113,7 @@ def test_series_from_distribution_rejects_zero_windows():
 
 def test_whole_period_q_from_series():
     series = series_from_distribution(nyse_fixture_distribution())
-    matrix = position_matrix(count_patterns(series, order=5, stride=5))
+    matrix = position_matrix(count_patterns(series, order=5))
     assert chi2_statistic(matrix[0]) == pytest.approx(22.78967, abs=1e-5)
 
 

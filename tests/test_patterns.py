@@ -166,7 +166,7 @@ def test_table_families_equal_enumeration(order):
 
 
 def test_count_increasing_series():
-    dist = count_patterns(np.arange(10, dtype=float), order=5, stride=5)
+    dist = count_patterns(np.arange(10, dtype=float), order=5)
     assert dist.windows == 2
     assert dist.counts[0] == 2
     assert dist.counts[1:].sum() == 0
@@ -174,20 +174,15 @@ def test_count_increasing_series():
 
 def test_count_window_arithmetic():
     rng = np.random.default_rng(5)
-    dist = count_patterns(rng.standard_normal(13550), order=5, stride=5)
+    dist = count_patterns(rng.standard_normal(13550), order=5)
     assert dist.windows == 2710
     assert dist.dropped_points == 0
 
 
 def test_count_dropped_tail():
-    dist = count_patterns(np.arange(12, dtype=float), order=5, stride=5)
+    dist = count_patterns(np.arange(12, dtype=float), order=5)
     assert dist.windows == 2
     assert dist.dropped_points == 2
-
-
-def test_count_overlapping_stride_one():
-    dist = count_patterns(np.arange(10, dtype=float), order=5, stride=1)
-    assert dist.windows == 6
 
 
 def test_count_requires_full_window():
@@ -207,7 +202,7 @@ def test_counting_rejects_non_finite_values(bad):
 
 def test_count_reports_ties():
     values = np.array([1.0, 1.0, 2.0, 3.0, 4.0, 0.0, 1.0, 2.0, 3.0, 4.0])
-    dist = count_patterns(values, order=5, stride=5)
+    dist = count_patterns(values, order=5)
     assert dist.ties_observed == 1
     assert dist.windows == 2
 
@@ -224,22 +219,21 @@ def test_count_conservation(seed):
 def test_vectorized_counting_matches_scalar_path():
     rng = np.random.default_rng(77)
     values = rng.standard_normal(400)
-    dist = count_patterns(values, order=4, stride=4)
+    dist = count_patterns(values, order=4)
     ids, _ = _oracle_ids_and_ties(values.reshape(100, 4))
     assert np.array_equal(dist.counts, np.bincount(np.asarray(ids) - 1, minlength=24))
 
 
 @pytest.mark.parametrize("order", [2, 3, 5, 7])
-def test_strided_counting_of_tied_data_matches_a_window_loop(order):
+def test_block_counting_of_tied_data_matches_a_window_loop(order):
     values = np.random.default_rng(order).integers(0, 3, size=103).astype(float)
-    for stride in range(1, order + 2):
-        dist = count_patterns(values, order=order, stride=stride)
-        starts = range(0, values.size - order + 1, stride)
-        ids, ties = _oracle_ids_and_ties(np.array([values[start : start + order] for start in starts]))
-        expected = np.bincount(np.asarray(ids) - 1, minlength=math.factorial(order))
-        assert np.array_equal(dist.counts, expected)
-        assert dist.ties_observed == sum(ties) > 0
-        assert dist.dropped_points == values.size - (starts[-1] + order)
+    dist = count_patterns(values, order=order)
+    starts = range(0, values.size - order + 1, order)
+    ids, ties = _oracle_ids_and_ties(np.array([values[start : start + order] for start in starts]))
+    expected = np.bincount(np.asarray(ids) - 1, minlength=math.factorial(order))
+    assert np.array_equal(dist.counts, expected)
+    assert dist.ties_observed == sum(ties) > 0
+    assert dist.dropped_points == values.size - (starts[-1] + order) > 0
 
 
 def _oracle_ids_and_ties(windows):
@@ -288,7 +282,7 @@ def test_kernel_reads_non_contiguous_windows():
 
 def test_uniformity_on_iid_noise():
     rng = np.random.default_rng(20240809)
-    dist = count_patterns(rng.standard_normal(600_000), order=5, stride=5)
+    dist = count_patterns(rng.standard_normal(600_000), order=5)
     n_w = dist.windows
     assert n_w == 120_000
     p = 1.0 / 120.0

@@ -409,7 +409,7 @@ def test_shuffles_of_persistent_noise_reject_at_nominal_rate():
     for i in range(shuffles):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=9000, spawn_key=(i,)))
         shuffled = base[rng.permutation(base.size)]
-        dist = count_patterns(shuffled, order=5, stride=5)
+        dist = count_patterns(shuffled, order=5)
         matrix = position_matrix(dist)
         h1_hits += h1_test(dist).reject_05
         h2_hits += [o.reject_05 for o in h2_test(matrix)]

@@ -93,7 +93,7 @@ PUBLIC_SIGNATURES = {
     "calendar_weeks": ("series",),
     "chi2_sf": ("x", "df"),
     "chi2_statistic": ("observed",),
-    "count_patterns": ("series", "order", "stride"),
+    "count_patterns": ("series", "order"),
     "count_windows": ("windows", "label"),
     "estimate_hurst": ("series", "method"),
     "family_share": ("kind", "order"),
