@@ -50,6 +50,7 @@ from .patterns import (
 )
 from .stats import (
     EXPECTED_FREQUENCY_FLOOR,
+    SIGNIFICANCE_LEVELS,
     TestOutcome,
     position_matrix,
     test_h1_pattern_uniformity,
@@ -342,7 +343,7 @@ def to_flat_csv(doc) -> str:
     return "".join(chunks)
 
 
-def _outcome_dict(outcome: TestOutcome, alpha: float) -> dict:
+def _outcome_dict(outcome: TestOutcome) -> dict:
     doc = {
         "statistic": outcome.statistic,  # non-finite: null in JSON, an empty CSV field
         "df": outcome.df,
@@ -351,7 +352,6 @@ def _outcome_dict(outcome: TestOutcome, alpha: float) -> dict:
         "reject_10": outcome.reject_10,
         "reject_05": outcome.reject_05,
         "reject_01": outcome.reject_01,
-        "reject_at_alpha": bool(outcome.p_value < alpha),
     }
     doc.update({k: v for k, v in outcome.observed.items() if k not in doc})
     return doc
@@ -404,7 +404,7 @@ def _analyze_distribution(part: ReturnSeries, args) -> tuple[PatternDistribution
         grouped = calendar_weeks(part)
         if grouped.windows.shape[0] == 0:
             raise InvalidInputError(f"{part.label}: no complete Monday-Friday weeks")
-        dist = count_windows(grouped.windows, label=part.label)
+        dist = count_windows(grouped.windows)
         return dist, grouped.skipped_weeks
     return count_patterns(part, order=args.d), None
 
@@ -412,7 +412,6 @@ def _analyze_distribution(part: ReturnSeries, args) -> tuple[PatternDistribution
 def _analyze_section(part: ReturnSeries, args) -> dict:
     dist, skipped_weeks = _analyze_distribution(part, args)
     matrix = position_matrix(dist)
-    alpha = args.alpha
 
     h1 = test_h1_pattern_uniformity(dist)
     rows = test_h2_day_rows(matrix)
@@ -437,23 +436,23 @@ def _analyze_section(part: ReturnSeries, args) -> dict:
                 {
                     "day": i,
                     "counts": matrix[i, :].tolist(),
-                    **_outcome_dict(rows[i], alpha),
+                    **_outcome_dict(rows[i]),
                 }
                 for i in range(dist.order)
             ],
             "columns": [
-                {"position": j, **_outcome_dict(columns[j], alpha)}
+                {"position": j, **_outcome_dict(columns[j])}
                 for j in range(dist.order)
             ],
         },
         "tests": {
-            "h1_pattern_uniformity": _outcome_dict(h1, alpha),
+            "h1_pattern_uniformity": _outcome_dict(h1),
         },
     }
     if dist.order >= 3:
-        section["tests"]["h4_monday_largest"] = _outcome_dict(test_h4_monday_largest(dist), alpha)
+        section["tests"]["h4_monday_largest"] = _outcome_dict(test_h4_monday_largest(dist))
         section["tests"]["h5_monday_worst_friday_best"] = _outcome_dict(
-            test_h5_monday_worst_friday_best(dist), alpha
+            test_h5_monday_worst_friday_best(dist)
         )
     if args.hurst:
         estimate = estimate_hurst(part, method=HurstMethod(args.method))
@@ -493,7 +492,6 @@ def cmd_analyze(args) -> int:
         "command": "analyze",
         "input": _input_meta(args, series),
         "weeks_mode": args.weeks,
-        "alpha": args.alpha,
         "sections": [_analyze_section(part, args) for part in parts],
     }
     _write_output(dumps(doc) if args.format == "json" else to_flat_csv(doc), args.output)
@@ -509,33 +507,33 @@ def _rejections_dict(rej) -> dict:
     return {"at_10": rej.at_10, "at_05": rej.at_05, "at_01": rej.at_01}
 
 
-def _chi_aggregate_dict(agg, alpha: float) -> dict:
+def _chi_aggregate_dict(agg) -> dict:
     return {
-        "averaged": _outcome_dict(agg.averaged, alpha),
+        "averaged": _outcome_dict(agg.averaged),
         "rejections": _rejections_dict(agg.rejections),
     }
 
 
-def _binomial_aggregate_dict(agg, alpha: float) -> dict:
+def _binomial_aggregate_dict(agg) -> dict:
     return {
         "expected_frequency": agg.expected_frequency,
         "mean_observed_frequency": agg.mean_observed_frequency,
-        "averaged": _outcome_dict(agg.averaged, alpha),
+        "averaged": _outcome_dict(agg.averaged),
         "rejections": _rejections_dict(agg.rejections),
         "replications_above_expected": agg.replications_above_expected,
     }
 
 
-def simulation_row(report, alpha: float) -> dict:
+def simulation_row(report) -> dict:
     return {
         "hurst": report.hurst,
         "weeks": report.weeks_per_replication,
         "generator": report.generator,
-        "h1": _chi_aggregate_dict(report.h1, alpha),
-        "h2": [_chi_aggregate_dict(a, alpha) for a in report.h2],
-        "h3": [_chi_aggregate_dict(a, alpha) for a in report.h3],
-        "h4": _binomial_aggregate_dict(report.h4, alpha),
-        "h5": _binomial_aggregate_dict(report.h5, alpha),
+        "h1": _chi_aggregate_dict(report.h1),
+        "h2": [_chi_aggregate_dict(a) for a in report.h2],
+        "h3": [_chi_aggregate_dict(a) for a in report.h3],
+        "h4": _binomial_aggregate_dict(report.h4),
+        "h5": _binomial_aggregate_dict(report.h5),
     }
 
 
@@ -556,14 +554,13 @@ def cmd_simulate(args) -> int:
                 mean_frequency,
                 EXPECTED_FREQUENCY_FLOOR,
             )
-        rows.append(simulation_row(report, args.alpha))
+        rows.append(simulation_row(report))
     doc = {
         "command": "simulate",
         "config": {
             "length": args.length,
             "replications": args.reps,
             "seed": args.seed,
-            "alpha": args.alpha,
         },
         "rows": rows,
     }
@@ -576,13 +573,13 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _rate_dict(p_values: np.ndarray, rejections, alpha: float) -> dict | None:
+def _rate_dict(p_values: np.ndarray, rejections) -> dict | None:
     """Aggregate of one test over the replications; None where the test does not apply."""
     if np.isnan(p_values[0]):
         return None
     return {
         "rejections": _rejections_dict(rejections),
-        "rate_at_alpha": int((p_values < alpha).sum()) / float(p_values.size),
+        "rate_at_alpha": rejections.at_05 / p_values.size,
     }
 
 
@@ -598,7 +595,7 @@ def cmd_shuffle(args) -> int:
     h2 = slice(1, 1 + order)
     h3 = slice(1 + order, 1 + 2 * order)
 
-    alpha = args.alpha
+    alpha = SIGNIFICANCE_LEVELS[1]  # the per-replication decisions are at 5%
     per_replication = [
         {
             "replication": index,
@@ -621,11 +618,11 @@ def cmd_shuffle(args) -> int:
         "input": _input_meta(args, series),
         "config": {"replications": args.reps, "seed": args.seed, "order": order, "alpha": alpha},
         "aggregate": {
-            "h1": _rate_dict(p_values[:, 0], rejections[0], alpha),
+            "h1": _rate_dict(p_values[:, 0], rejections[0]),
             "h2_days": [{"rejections": _rejections_dict(r)} for r in rejections[h2]],
             "h3_positions": [{"rejections": _rejections_dict(r)} for r in rejections[h3]],
-            "h4": _rate_dict(p_values[:, -2], rejections[-2], alpha),
-            "h5": _rate_dict(p_values[:, -1], rejections[-1], alpha),
+            "h4": _rate_dict(p_values[:, -2], rejections[-2]),
+            "h5": _rate_dict(p_values[:, -1], rejections[-1]),
         },
         "per_replication": per_replication,
     }
@@ -733,13 +730,6 @@ def _seed(text: str) -> int:
     return value
 
 
-def _alpha(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"alpha {value} outside (0, 1)")
-    return value
-
-
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", required=True, help="CSV file (.gz accepted)")
     sub.add_argument("--column", help="name of the return column")
@@ -766,7 +756,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--subperiods", type=_subperiod_list, default=None)
     analyze.add_argument("--hurst", action="store_true", help="include a Hurst estimate per section")
     analyze.add_argument("--method", choices=("rs", "dfa"), default="rs")
-    analyze.add_argument("--alpha", type=_alpha, default=0.05)
     _add_output_flags(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
@@ -776,7 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--reps", type=int, required=True)
     simulate.add_argument("--seed", type=_seed, required=True)
     simulate.add_argument("--jobs", type=int, default=1)
-    simulate.add_argument("--alpha", type=_alpha, default=0.05)
     _add_output_flags(simulate)
     simulate.set_defaults(func=cmd_simulate)
 
@@ -786,7 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
     shuffle.add_argument("--reps", type=int, required=True)
     shuffle.add_argument("--seed", type=_seed, required=True)
     shuffle.add_argument("--jobs", type=int, default=1)
-    shuffle.add_argument("--alpha", type=_alpha, default=0.05)
     _add_output_flags(shuffle)
     shuffle.set_defaults(func=cmd_shuffle)
 

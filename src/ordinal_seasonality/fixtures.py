@@ -158,25 +158,13 @@ def nyse_fixture_distribution() -> PatternDistribution:
     protected = frozenset(_pattern_ids(5, ("42013", "03421", "04312")).tolist())
     caps = np.maximum(33 - base, 0)
     extra = decompose_position_matrix(residual, forbidden_ids=protected, caps=caps)
-    counts = base + extra
-    return PatternDistribution(
-        order=5,
-        counts=counts,
-        windows=int(counts.sum()),
-        label="nyse-whole-period",
-    )
+    return PatternDistribution(order=5, counts=base + extra)
 
 
 @lru_cache(maxsize=1)
 def nyse_shuffled_distribution() -> PatternDistribution:
     """A distribution realizing the bundled shuffled day-by-position matrix."""
-    counts = decompose_position_matrix(NYSE_SHUFFLED_POSITION_MATRIX)
-    return PatternDistribution(
-        order=5,
-        counts=counts,
-        windows=int(counts.sum()),
-        label="nyse-shuffled",
-    )
+    return PatternDistribution(order=5, counts=decompose_position_matrix(NYSE_SHUFFLED_POSITION_MATRIX))
 
 
 def series_from_distribution(dist: PatternDistribution) -> ReturnSeries:
@@ -190,4 +178,4 @@ def series_from_distribution(dist: PatternDistribution) -> ReturnSeries:
     # the day at rank r of pattern k is table[k, r], so day i gets the level of its rank
     windows = levels[np.argsort(pattern_table(dist.order), axis=1)]
     values = np.repeat(windows, dist.counts, axis=0).ravel()
-    return ReturnSeries(values=values, label=dist.label or "synthetic")
+    return ReturnSeries(values=values, label="synthetic")

@@ -40,14 +40,6 @@ class HurstEstimate:
     fit_points: tuple[tuple[float, float], ...]
     r_squared: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.h):
-            raise InvalidInputError("estimate is not finite")
-        if len(self.fit_points) < MIN_FIT_POINTS:
-            raise InvalidInputError(f"need at least {MIN_FIT_POINTS} fit points")
-        if any(b <= a for a, b in zip(self.window_sizes, self.window_sizes[1:])):
-            raise InvalidInputError("window sizes must be strictly increasing")
-
 
 def window_grid(length: int) -> np.ndarray:
     """Geometric grid of integer window sizes from 16 to ``length // 4``, inclusive.

@@ -64,8 +64,15 @@ def _has_nul(path: Path) -> bool:
 
 
 def _parse_date(text: str, row: int) -> date:
+    """The date of a ``YYYY-MM-DD`` cell, the one form the bulk parse reads.
+
+    The shape is checked first: from Python 3.11 on, ``date.fromisoformat``
+    also reads ``20200106`` and week dates such as ``2020-W02-2``.
+    """
     text = text.strip()
     try:
+        if len(text) != 10 or text[4] != "-" or text[7] != "-":
+            raise ValueError(text)
         return date.fromisoformat(text)
     except ValueError as exc:
         raise InvalidInputError(f"row {row}: unparseable date {text!r}") from exc
@@ -200,8 +207,9 @@ def load_csv(
     Exactly one of ``price_column`` and ``return_column`` selects the value
     column; the loader does not convert prices to returns, use
     :func:`log_returns` for that.  A ``.gz`` suffix selects transparent
-    gzip decompression, and a UTF-8 byte order mark is skipped.  Dates
-    become a ``datetime64[D]`` array; the label is the file name.
+    gzip decompression, and a UTF-8 byte order mark is skipped.  Dates,
+    written ``YYYY-MM-DD``, become a ``datetime64[D]`` array; the label is
+    the file name.
 
     The columns are parsed in bulk.  When that fails, or a value is not
     finite, a date is not exactly ``YYYY-MM-DD``, the dates do not strictly

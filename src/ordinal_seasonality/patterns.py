@@ -18,7 +18,7 @@ accumulation (:func:`position_counts`) are array operations on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -126,7 +126,7 @@ def family_index(kind: PatternFamily, order: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def pattern_family(kind: PatternFamily, order: int = 5) -> frozenset[int]:
+def pattern_family(kind: PatternFamily, order: int) -> frozenset[int]:
     """Pattern ids in the family, for windows starting on Monday (day 0).
 
     The ids are :func:`family_index` + 1, built once per (kind, order).
@@ -150,15 +150,15 @@ def family_share(kind: PatternFamily, order: int) -> float:
 class PatternDistribution:
     """Absolute frequency of every pattern of a given order.
 
-    ``counts[k]`` is the number of windows encoding to pattern id ``k + 1``.
+    ``counts[k]`` is the number of windows encoding to pattern id ``k + 1``,
+    and ``windows`` is their sum.
     """
 
     order: int
     counts: np.ndarray
-    windows: int
+    windows: int = field(init=False)
     ties_observed: int = 0
     dropped_points: int = 0
-    label: str = ""
 
     def __post_init__(self) -> None:
         self.order = _validate_order(self.order)
@@ -169,12 +169,10 @@ class PatternDistribution:
             )
         if (counts < 0).any():
             raise InvalidInputError("counts must be non-negative")
-        if int(counts.sum()) != int(self.windows):
-            raise InvalidInputError("counts must sum to the window count")
         if self.ties_observed < 0:
             raise InvalidInputError("ties_observed must be non-negative")
         self.counts = counts
-        self.windows = int(self.windows)
+        self.windows = int(counts.sum())
 
 
 def _pattern_codes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,20 +200,18 @@ def _pattern_codes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (larger_before * weight[rank]).sum(axis=0), tied
 
 
-def _count_rows(rows: np.ndarray, label: str, dropped_points: int) -> PatternDistribution:
+def _count_rows(rows: np.ndarray, dropped_points: int) -> PatternDistribution:
     """Distribution of the patterns of a finite (n, D) block of windows."""
     codes, tied = _pattern_codes(rows)
     return PatternDistribution(
         order=rows.shape[1],
         counts=np.bincount(codes, minlength=math.factorial(rows.shape[1])),
-        windows=rows.shape[0],
         ties_observed=int(np.count_nonzero(tied)),
         dropped_points=dropped_points,
-        label=label,
     )
 
 
-def count_windows(windows: np.ndarray, label: str = "") -> PatternDistribution:
+def count_windows(windows: np.ndarray) -> PatternDistribution:
     """Count patterns over an explicit (n, D) block of windows.
 
     Of equal values the earlier day ranks lower; the windows holding any
@@ -227,7 +223,7 @@ def count_windows(windows: np.ndarray, label: str = "") -> PatternDistribution:
     _validate_order(rows.shape[1])
     if not np.all(np.isfinite(rows)):
         raise InvalidInputError("windows contain non-finite values")
-    return _count_rows(rows, label, 0)
+    return _count_rows(rows, 0)
 
 
 def count_patterns(series, order: int = 5) -> PatternDistribution:
@@ -239,7 +235,6 @@ def count_patterns(series, order: int = 5) -> PatternDistribution:
     window are dropped and reported in ``dropped_points``.
     """
     values = np.asarray(getattr(series, "values", series), dtype=float)
-    label = str(getattr(series, "label", ""))
     order = _validate_order(order)
     if values.ndim != 1:
         raise InvalidInputError("series must be one-dimensional")
@@ -248,4 +243,4 @@ def count_patterns(series, order: int = 5) -> PatternDistribution:
     if not np.all(np.isfinite(values)):
         raise InvalidInputError("series contains non-finite values")
     windows = values.size // order
-    return _count_rows(values[: windows * order].reshape(windows, order), label, values.size % order)
+    return _count_rows(values[: windows * order].reshape(windows, order), values.size % order)

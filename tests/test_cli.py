@@ -322,6 +322,49 @@ def test_replication_engine_rejects_bad_counts(command, flags, message, returns_
     assert message in err and "Traceback" not in err
 
 
+# each test is decided at 10, 5 and 1%; no option sets another level
+@pytest.mark.parametrize("command", ["analyze", "simulate", "shuffle"])
+def test_alpha_is_not_an_option(command, returns_csv, capsys):
+    if command == "simulate":
+        argv = ["simulate", "--hurst", "0.5", "--length", "1000", "--reps", "2", "--seed", "1"]
+    else:
+        argv = [command, "--input", str(returns_csv), "--column", "ret"]
+        argv += ["--reps", "2", "--seed", "1"] if command == "shuffle" else []
+    assert cli.main([*argv, "--alpha", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --alpha 0.1" in captured.err
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_reports_decide_at_the_fixed_levels_only(command, returns_csv, tmp_path):
+    if command == "simulate":
+        argv = ["simulate", "--hurst", "0.3,0.7", "--length", "1000", "--reps", "3", "--seed", "1"]
+    else:
+        argv = ["analyze", "--input", str(returns_csv), "--column", "ret", "--subperiods", "300,300"]
+    out = tmp_path / "report.json"
+    assert cli.main([*argv, "--output", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert '"reject_05"' in text
+    assert '"reject_at_alpha"' not in text and '"alpha"' not in text
+
+
+def test_shuffle_rate_at_alpha_is_the_5_percent_rejection_share(tmp_path):
+    out = tmp_path / "shuffle.json"
+    argv = ["shuffle", "--input", str(GOLDENS / "returns2k.csv.gz"), "--column", "ret",
+            "--reps", "40", "--seed", "3", "--output", str(out)]
+    assert cli.main(argv) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["config"]["alpha"] == 0.05
+    for key in ("h1", "h4", "h5"):
+        aggregate = doc["aggregate"][key]
+        assert aggregate["rate_at_alpha"] == aggregate["rejections"]["at_05"] / 40
+        assert [r[f"{key}_reject"] for r in doc["per_replication"]] == [
+            r[f"{key}_p"] < 0.05 for r in doc["per_replication"]
+        ]
+    assert sum(doc["aggregate"][key]["rejections"]["at_05"] for key in ("h1", "h4", "h5")) > 0
+
+
 # ---------------------------------------------------------------------------
 # hurst command
 # ---------------------------------------------------------------------------

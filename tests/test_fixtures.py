@@ -106,7 +106,7 @@ def test_series_realizes_fixture_counts():
 
 
 def test_series_from_distribution_rejects_zero_windows():
-    empty = PatternDistribution(order=5, counts=np.zeros(120, dtype=np.int64), windows=0)
+    empty = PatternDistribution(order=5, counts=np.zeros(120, dtype=np.int64))
     with pytest.raises(InvalidInputError, match="^series must be a non-empty 1-d sequence$"):
         series_from_distribution(empty)
 

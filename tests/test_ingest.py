@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ordinal_seasonality import cli
 from ordinal_seasonality.errors import InvalidInputError
 from ordinal_seasonality.ingest import (
     ReturnSeries,
@@ -70,6 +71,16 @@ def test_load_non_monotone_dates(tmp_path):
     )
     with pytest.raises(InvalidInputError, match=r"^row 2: date 2020-01-06 is not after 2020-01-07$"):
         load_csv(path, date_column="date", return_column="ret")
+
+
+@pytest.mark.parametrize("cell", ["20200107", "2020-W02-2"])
+def test_dates_other_than_year_month_day_name_the_row(tmp_path, capsys, cell):
+    # date.fromisoformat reads both forms from Python 3.11 on; 3.10 and the bulk parse do not
+    path = _write(tmp_path, "dates.csv", f"date,ret\n2020-01-06,0.1\n{cell},0.2\n2020-01-08,0.3\n")
+    assert cli.main(["analyze", "--input", str(path), "--column", "ret", "--date-column", "date"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: row 2: unparseable date {cell!r}\n"
 
 
 def test_load_empty_file(tmp_path):

@@ -31,7 +31,7 @@ from oracles import chi2_sf_quadrature, normal_sf_quadrature
 
 def _dist_from_counts(counts):
     counts = np.asarray(counts, dtype=np.int64)
-    return PatternDistribution(order=5, counts=counts, windows=int(counts.sum()))
+    return PatternDistribution(order=5, counts=counts)
 
 
 def _identity_only_dist(weeks):
@@ -179,7 +179,7 @@ def test_line_tests_equal_one_line_at_a_time_bit_for_bit(order):
             assert columns[i].statistic == chi2_statistic(matrix[:, i])
             assert rows[i].observed["expected_frequency"] == matrix[i, :].astype(float).sum() / order
     counts = rng.integers(0, 40, size=math.factorial(min(order, 8)))
-    dist = PatternDistribution(order=min(order, 8), counts=counts, windows=int(counts.sum()))
+    dist = PatternDistribution(order=min(order, 8), counts=counts)
     assert h1_test(dist).statistic == chi2_statistic(counts)
 
 

@@ -3,10 +3,11 @@ exception type, README's library example and the module attributes the
 benchmark tracer patches.
 
 The exported names are listed here in full, and so are the parameters of
-each exported function and the fields of each exported dataclass, so adding
-or dropping a name or a parameter is a visible edit of this file.  So is a
-new exception class anywhere in the package (the ``__main__`` module aside,
-which runs the CLI when imported).
+each exported function, the fields of each exported dataclass and the
+options of each CLI command, so adding or dropping a name, a parameter or an
+option is a visible edit of this file.  So is a new exception class anywhere
+in the package (the ``__main__`` module aside, which runs the CLI when
+imported).
 
 ``bench/tracer.py`` wraps names in the ``cli``, ``fgn`` and ``stats``
 namespaces by ``getattr``, so a refactor that drops one of them breaks
@@ -16,6 +17,7 @@ failure.  The tracer module is only read, never installed.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import importlib
 import importlib.util
@@ -28,6 +30,7 @@ import numpy as np
 import pytest
 
 import ordinal_seasonality
+from ordinal_seasonality.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -72,7 +75,7 @@ PUBLIC_SIGNATURES = {
     "EnsembleConfig": ("base", "replications", "master_seed"),
     "FgnConfig": ("hurst", "length", "seed"),
     "HurstEstimate": ("h", "method", "window_sizes", "fit_points", "r_squared"),
-    "PatternDistribution": ("order", "counts", "windows", "ties_observed", "dropped_points", "label"),
+    "PatternDistribution": ("order", "counts", "windows", "ties_observed", "dropped_points"),
     "ReturnSeries": ("values", "dates", "label"),
     "SimulationReport": (
         "hurst",
@@ -94,7 +97,7 @@ PUBLIC_SIGNATURES = {
     "chi2_sf": ("x", "df"),
     "chi2_statistic": ("observed",),
     "count_patterns": ("series", "order"),
-    "count_windows": ("windows", "label"),
+    "count_windows": ("windows",),
     "estimate_hurst": ("series", "method"),
     "family_share": ("kind", "order"),
     "fgn_autocovariance": ("hurst", "lags"),
@@ -143,6 +146,36 @@ def _signature(obj) -> tuple[str, ...] | None:
 def test_public_signatures_are_pinned():
     signatures = {name: _signature(getattr(ordinal_seasonality, name)) for name in PUBLIC_NAMES}
     assert {name: sig for name, sig in signatures.items() if sig is not None} == PUBLIC_SIGNATURES
+
+
+# command -> its option strings in declaration order, --help aside
+CLI_OPTIONS = {
+    "analyze": (
+        "--input", "--column", "--price-column", "--date-column",
+        "--weeks", "--d", "--subperiods", "--hurst", "--method", "--format", "--output",
+    ),
+    "simulate": ("--hurst", "--length", "--reps", "--seed", "--jobs", "--format", "--output"),
+    "shuffle": (
+        "--input", "--column", "--price-column", "--date-column",
+        "--d", "--reps", "--seed", "--jobs", "--format", "--output",
+    ),
+    "patterns": ("--d", "--family", "--format", "--output"),
+    "hurst": ("--input", "--column", "--price-column", "--date-column", "--method", "--format", "--output"),
+}
+
+
+def test_cli_options_are_pinned():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: tuple(
+            option
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings
+        )
+        for name, sub in commands.choices.items()
+    }
+    assert options == CLI_OPTIONS
 
 
 def _load_tracer():
