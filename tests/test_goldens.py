@@ -59,6 +59,10 @@ CASES = {
     "simulate.json": [
         "simulate", "--hurst", "0.3,0.7", "--length", "1000", "--reps", "6", "--seed", "11",
     ],
+    "simulate.csv": [
+        "simulate", "--hurst", "0.3,0.7", "--length", "1000", "--reps", "6", "--seed", "11",
+        "--format", "csv",
+    ],
     # near-zero embedding eigenvalues (H near 0 and 1) at an odd length
     "simulate-extreme.json": [
         "simulate", "--hurst", "0.01,0.5,0.999", "--length", "4097", "--reps", "4", "--seed", "2",
@@ -77,6 +81,7 @@ CASES = {
         "shuffle", "--input", TIES, "--column", "ret", "--d", "2", "--reps", "4", "--seed", "5",
         "--format", "csv",
     ],
+    "hurst-dfa.json": ["hurst", "--input", NYSE, "--column", "ret", "--method", "dfa"],
     "patterns-d4.csv": ["patterns", "--d", "4"],
     "patterns-family.csv": ["patterns", "--d", "5", "--family", "monday-worst-friday-best"],
     "patterns-d4.json": ["patterns", "--d", "4", "--format", "json"],
@@ -87,7 +92,7 @@ CASES = {
 
 RUNS = [(name, []) for name in CASES] + [
     (name, ["--jobs", jobs])
-    for name in ("simulate.json", "simulate-extreme.json", "shuffle.json", "shuffle-ties.json")
+    for name in ("simulate.json", "simulate.csv", "simulate-extreme.json", "shuffle.json", "shuffle-ties.json")
     for jobs in ("1", "2")
 ]
 
