@@ -10,6 +10,7 @@ the diagnostic log level (DEBUG, INFO, WARNING, ...).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -17,6 +18,7 @@ import os
 import re
 import sys
 import traceback
+from enum import Enum
 from functools import partial
 from itertools import chain, count, repeat
 from typing import Sequence
@@ -27,12 +29,13 @@ from .errors import InvalidInputError
 from .fgn import (
     EnsembleConfig,
     FgnConfig,
+    by_test,
     run_ensemble,
     run_replications,
     shuffle_replication,
     tally_rejections,
 )
-from .hurst import HurstEstimate, HurstMethod, estimate_hurst
+from .hurst import HurstMethod, estimate_hurst
 from .ingest import (
     ReturnSeries,
     calendar_weeks,
@@ -357,6 +360,24 @@ def _outcome_dict(outcome: TestOutcome) -> dict:
     return doc
 
 
+def _record(obj):
+    """A result record in its report layout.
+
+    A dataclass becomes the dict of its fields in field order, a
+    :class:`TestOutcome` goes through :func:`_outcome_dict`, an enum becomes
+    its value and a tuple a list; other values pass through unchanged.
+    """
+    if isinstance(obj, TestOutcome):
+        return _outcome_dict(obj)
+    if dataclasses.is_dataclass(obj):
+        return {field.name: _record(getattr(obj, field.name)) for field in dataclasses.fields(obj)}
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, tuple):
+        return [_record(item) for item in obj]
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # shared input handling
 # ---------------------------------------------------------------------------
@@ -403,7 +424,7 @@ def _analyze_distribution(part: ReturnSeries, args) -> tuple[PatternDistribution
     if args.weeks == "calendar":
         grouped = calendar_weeks(part)
         if grouped.windows.shape[0] == 0:
-            raise InvalidInputError(f"{part.label}: no complete Monday-Friday weeks")
+            raise InvalidInputError("no complete Monday-Friday weeks")
         dist = count_windows(grouped.windows)
         return dist, grouped.skipped_weeks
     return count_patterns(part, order=args.d), None
@@ -456,7 +477,7 @@ def _analyze_section(part: ReturnSeries, args) -> dict:
         )
     if args.hurst:
         estimate = estimate_hurst(part, method=HurstMethod(args.method))
-        section["hurst"] = _hurst_dict(estimate)
+        section["hurst"] = _record(estimate)
     return section
 
 
@@ -488,11 +509,17 @@ def cmd_analyze(args) -> int:
         parts = split_subperiods(series, args.subperiods)
     else:
         parts = [series]
+    sections = []
+    for part in parts:
+        try:
+            sections.append(_analyze_section(part, args))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{part.label}: {exc}") from exc
     doc = {
         "command": "analyze",
         "input": _input_meta(args, series),
         "weeks_mode": args.weeks,
-        "sections": [_analyze_section(part, args) for part in parts],
+        "sections": sections,
     }
     _write_output(dumps(doc) if args.format == "json" else to_flat_csv(doc), args.output)
     return 0
@@ -501,40 +528,6 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
-
-
-def _rejections_dict(rej) -> dict:
-    return {"at_10": rej.at_10, "at_05": rej.at_05, "at_01": rej.at_01}
-
-
-def _chi_aggregate_dict(agg) -> dict:
-    return {
-        "averaged": _outcome_dict(agg.averaged),
-        "rejections": _rejections_dict(agg.rejections),
-    }
-
-
-def _binomial_aggregate_dict(agg) -> dict:
-    return {
-        "expected_frequency": agg.expected_frequency,
-        "mean_observed_frequency": agg.mean_observed_frequency,
-        "averaged": _outcome_dict(agg.averaged),
-        "rejections": _rejections_dict(agg.rejections),
-        "replications_above_expected": agg.replications_above_expected,
-    }
-
-
-def simulation_row(report) -> dict:
-    return {
-        "hurst": report.hurst,
-        "weeks": report.weeks_per_replication,
-        "generator": report.generator,
-        "h1": _chi_aggregate_dict(report.h1),
-        "h2": [_chi_aggregate_dict(a) for a in report.h2],
-        "h3": [_chi_aggregate_dict(a) for a in report.h3],
-        "h4": _binomial_aggregate_dict(report.h4),
-        "h5": _binomial_aggregate_dict(report.h5),
-    }
 
 
 def cmd_simulate(args) -> int:
@@ -554,7 +547,7 @@ def cmd_simulate(args) -> int:
                 mean_frequency,
                 EXPECTED_FREQUENCY_FLOOR,
             )
-        rows.append(simulation_row(report))
+        rows.append(_record(report))
     doc = {
         "command": "simulate",
         "config": {
@@ -573,14 +566,9 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _rate_dict(p_values: np.ndarray, rejections) -> dict | None:
-    """Aggregate of one test over the replications; None where the test does not apply."""
-    if np.isnan(p_values[0]):
-        return None
-    return {
-        "rejections": _rejections_dict(rejections),
-        "rate_at_alpha": rejections.at_05 / p_values.size,
-    }
+def _rate_dict(rejections, reps: int) -> dict:
+    """Aggregate of one test over the replications."""
+    return {"rejections": _record(rejections), "rate_at_alpha": rejections.at_05 / reps}
 
 
 def cmd_shuffle(args) -> int:
@@ -591,25 +579,23 @@ def cmd_shuffle(args) -> int:
 
     replicate = partial(shuffle_replication, series.values, order, args.seed)
     p_values = np.stack(run_replications(replicate, args.reps, args.jobs))
-    rejections = tally_rejections(p_values)
-    h2 = slice(1, 1 + order)
-    h3 = slice(1 + order, 1 + 2 * order)
+    r1, r2, r3, r4, r5 = by_test(tally_rejections(p_values), order)
 
     alpha = SIGNIFICANCE_LEVELS[1]  # the per-replication decisions are at 5%
     per_replication = [
         {
             "replication": index,
-            "h1_p": ps[0],
-            "h1_reject": ps[0] < alpha,
-            "h2_reject_days": [p < alpha for p in ps[h2]],
-            "h3_reject_positions": [p < alpha for p in ps[h3]],
-            "h4_p": ps[-2],
-            "h4_reject": None if ps[-2] is None else ps[-2] < alpha,
-            "h5_p": ps[-1],
-            "h5_reject": None if ps[-1] is None else ps[-1] < alpha,
+            "h1_p": h1,
+            "h1_reject": h1 < alpha,
+            "h2_reject_days": [p < alpha for p in h2],
+            "h3_reject_positions": [p < alpha for p in h3],
+            "h4_p": h4,
+            "h4_reject": None if h4 is None else h4 < alpha,
+            "h5_p": h5,
+            "h5_reject": None if h5 is None else h5 < alpha,
         }
-        for index, ps in enumerate(
-            [None if math.isnan(p) else p for p in row] for row in p_values.tolist()
+        for index, (h1, h2, h3, h4, h5) in enumerate(
+            by_test([None if math.isnan(p) else p for p in row], order) for row in p_values.tolist()
         )
     ]
 
@@ -618,11 +604,12 @@ def cmd_shuffle(args) -> int:
         "input": _input_meta(args, series),
         "config": {"replications": args.reps, "seed": args.seed, "order": order, "alpha": alpha},
         "aggregate": {
-            "h1": _rate_dict(p_values[:, 0], rejections[0]),
-            "h2_days": [{"rejections": _rejections_dict(r)} for r in rejections[h2]],
-            "h3_positions": [{"rejections": _rejections_dict(r)} for r in rejections[h3]],
-            "h4": _rate_dict(p_values[:, -2], rejections[-2]),
-            "h5": _rate_dict(p_values[:, -1], rejections[-1]),
+            "h1": _rate_dict(r1, args.reps),
+            "h2_days": [{"rejections": _record(r)} for r in r2],
+            "h3_positions": [{"rejections": _record(r)} for r in r3],
+            # H4 and H5 are not tested below order 3
+            "h4": _rate_dict(r4, args.reps) if order >= 3 else None,
+            "h5": _rate_dict(r5, args.reps) if order >= 3 else None,
         },
         "per_replication": per_replication,
     }
@@ -670,23 +657,13 @@ def cmd_patterns(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _hurst_dict(estimate: HurstEstimate) -> dict:
-    return {
-        "h": estimate.h,
-        "method": estimate.method.value,
-        "r_squared": estimate.r_squared,
-        "window_sizes": list(estimate.window_sizes),
-        "fit_points": [[a, b] for a, b in estimate.fit_points],
-    }
-
-
 def cmd_hurst(args) -> int:
     series = _load_series(args)
     estimate = estimate_hurst(series, method=HurstMethod(args.method))
     doc = {
         "command": "hurst",
         "input": _input_meta(args, series),
-        "estimate": _hurst_dict(estimate),
+        "estimate": _record(estimate),
     }
     _write_output(dumps(doc) if args.format == "json" else to_flat_csv(doc), args.output)
     return 0

@@ -151,11 +151,19 @@ def replication_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)))
 
 
-def _tested(dist: PatternDistribution) -> np.ndarray:
-    """The 2D+3 test p-values of one replication.
+def by_test(items, order: int) -> tuple:
+    """Split a sequence in the 2D+3 p-value layout into ``(h1, h2, h3, h4, h5)``.
 
-    In the order H1, H2 per day, H3 per position, H4, H5 (NaN for H4/H5
-    below order 3).
+    The layout is H1, the D day rows of H2, the D position columns of H3,
+    then H4 and H5; ``h2`` and ``h3`` are slices of ``items``.
+    """
+    return items[0], items[1 : 1 + order], items[1 + order : 1 + 2 * order], items[-2], items[-1]
+
+
+def _tested(dist: PatternDistribution) -> np.ndarray:
+    """The 2D+3 test p-values of one replication, in :func:`by_test`'s layout.
+
+    H4 and H5 are NaN below order 3.
     """
     matrix = position_matrix(dist)
     outcomes = [
@@ -209,9 +217,9 @@ def run_replications(replicate: Callable[[int], object], reps: int, jobs: int) -
 class RejectionCounts:
     """Replications rejecting a null at the three significance levels."""
 
-    at_10: int = 0
-    at_05: int = 0
-    at_01: int = 0
+    at_10: int
+    at_05: int
+    at_01: int
 
 
 def tally_rejections(p_values: np.ndarray) -> list[RejectionCounts]:
@@ -232,23 +240,22 @@ class ChiAggregate:
 class BinomialAggregate:
     """Family-frequency hypothesis aggregated over an ensemble."""
 
+    expected_frequency: float
+    mean_observed_frequency: float
     averaged: TestOutcome  # z computed from the mean observed frequency
     rejections: RejectionCounts
-    mean_observed_frequency: float
-    expected_frequency: float
     replications_above_expected: int
 
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Per-Hurst aggregate of the Monte-Carlo seasonality experiment."""
+    """Per-Hurst aggregate of the Monte-Carlo seasonality experiment.
+
+    Its fields, in order, are the keys of a ``simulate`` report row.
+    """
 
     hurst: float
-    length: int
-    replications: int
-    master_seed: int
-    order: int
-    weeks_per_replication: int
+    weeks: int  # windows of order 5 per replication
     generator: str  # provenance: always "circulant"
     h1: ChiAggregate
     h2: tuple[ChiAggregate, ...]
@@ -270,10 +277,10 @@ def _family_aggregate(
     p_e = family_share(kind, order)
     p_o = counts[:, family_index(kind, order)].sum(axis=1) / weeks
     return BinomialAggregate(
+        expected_frequency=p_e,
+        mean_observed_frequency=float(p_o.mean()),
         averaged=binomial_test(p_e, float(p_o.mean()), weeks, {"kind": kind.value}),
         rejections=rejections,
-        mean_observed_frequency=float(p_o.mean()),
-        expected_frequency=p_e,
         replications_above_expected=int((p_o > p_e).sum()),
     )
 
@@ -296,7 +303,7 @@ def run_ensemble(cfg: EnsembleConfig, jobs: int = 1) -> SimulationReport:
 
     replicate = partial(fgn_replication, base.hurst, base.length, order, cfg.master_seed)
     counts, p_values = map(np.stack, zip(*run_replications(replicate, reps, jobs)))
-    rejections = tally_rejections(p_values)
+    r1, r2, r3, r4, r5 = by_test(tally_rejections(p_values), order)
 
     mean_counts = counts.sum(axis=0) / reps
     mean_matrix = position_counts(mean_counts, order)
@@ -304,34 +311,28 @@ def run_ensemble(cfg: EnsembleConfig, jobs: int = 1) -> SimulationReport:
 
     return SimulationReport(
         hurst=base.hurst,
-        length=base.length,
-        replications=reps,
-        master_seed=cfg.master_seed,
-        order=order,
-        weeks_per_replication=weeks,
+        weeks=weeks,
         generator="circulant",
         h1=ChiAggregate(
             averaged=_averaged_chi_outcome(mean_counts, mean_counts.size - 1, {"kind": "pattern-uniformity"}),
-            rejections=rejections[0],
+            rejections=r1,
         ),
         h2=tuple(
             ChiAggregate(
                 averaged=_averaged_chi_outcome(mean_matrix[i, :], df, {"kind": "day-row", "day": i}),
-                rejections=rejections[1 + i],
+                rejections=rejections,
             )
-            for i in range(order)
+            for i, rejections in enumerate(r2)
         ),
         h3=tuple(
             ChiAggregate(
                 averaged=_averaged_chi_outcome(
                     mean_matrix[:, j], df, {"kind": "position-column", "position": j}
                 ),
-                rejections=rejections[1 + order + j],
+                rejections=rejections,
             )
-            for j in range(order)
+            for j, rejections in enumerate(r3)
         ),
-        h4=_family_aggregate(PatternFamily.MONDAY_LARGEST, counts, order, weeks, rejections[-2]),
-        h5=_family_aggregate(
-            PatternFamily.MONDAY_WORST_FRIDAY_BEST, counts, order, weeks, rejections[-1]
-        ),
+        h4=_family_aggregate(PatternFamily.MONDAY_LARGEST, counts, order, weeks, r4),
+        h5=_family_aggregate(PatternFamily.MONDAY_WORST_FRIDAY_BEST, counts, order, weeks, r5),
     )

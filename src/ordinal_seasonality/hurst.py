@@ -36,9 +36,9 @@ class HurstEstimate:
 
     h: float
     method: HurstMethod
+    r_squared: float
     window_sizes: tuple[int, ...]
     fit_points: tuple[tuple[float, float], ...]
-    r_squared: float
 
 
 def window_grid(length: int) -> np.ndarray:
@@ -153,7 +153,7 @@ def estimate_hurst(series, method: HurstMethod = HurstMethod.RS) -> HurstEstimat
     return HurstEstimate(
         h=float(slope),
         method=method,
+        r_squared=r_squared,
         window_sizes=tuple(kept_sizes),
         fit_points=tuple((float(a), float(b)) for a, b in points),
-        r_squared=r_squared,
     )

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import ordinal_seasonality
 import ordinal_seasonality.cli as cli
+from ordinal_seasonality.fgn import BinomialAggregate, ChiAggregate, RejectionCounts, SimulationReport
 from ordinal_seasonality.fixtures import nyse_fixture_distribution, series_from_distribution
 from oracles import dumps_by_recursion, flat_csv_by_recursion
 
@@ -185,26 +187,44 @@ def _weekdays(first: str, count: int) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    ("days", "subperiods", "weekend"),
+    ("days", "subperiods", "section", "weekend"),
     [
         # data row 5 is a Saturday
         (["2020-01-06", "2020-01-07", "2020-01-08", "2020-01-09", "2020-01-11", "2020-01-13"],
-         [], "2020-01-11"),
+         [], "prices.csv", "2020-01-11"),
         # a full first subperiod, then a Saturday in the second
         (["2020-01-03", *_weekdays("2020-01-06", 5), *_weekdays("2020-01-13", 5),
           "2020-01-18", "2020-01-20"],
-         ["--subperiods", "5,7"], "2020-01-18"),
+         ["--subperiods", "5,7"], "prices.csv[2]", "2020-01-18"),
     ],
     ids=["whole-series", "second-subperiod"],
 )
-def test_analyze_weekend_error_names_the_date(tmp_path, capsys, days, subperiods, weekend):
+def test_analyze_weekend_error_names_the_date(tmp_path, capsys, days, subperiods, section, weekend):
     path = _price_file(tmp_path, days)
     argv = ["analyze", "--input", str(path), "--price-column", "close", "--date-column", "date",
             "--weeks", "calendar", *subperiods]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert f"error: weekend date {weekend}\n" in err
+    assert f"error: {section}: weekend date {weekend}\n" in err
     assert "row" not in err
+
+
+@pytest.mark.parametrize(
+    ("path", "flags", "message"),
+    [
+        ("returns2k.csv.gz", ["--subperiods", "1900,100", "--hurst"],
+         "returns2k.csv.gz[2]: only 2 usable window sizes; need 4"),
+        ("returns2k.csv.gz", ["--subperiods", "1997,3"],
+         "returns2k.csv.gz[2]: series of length 3 is shorter than order 5"),
+        ("dated.csv", ["--date-column", "date", "--weeks", "calendar", "--subperiods", "252,4"],
+         "dated.csv[2]: no complete Monday-Friday weeks"),
+    ],
+    ids=["hurst", "order", "calendar"],
+)
+def test_analyze_section_errors_name_the_section(capsys, path, flags, message):
+    argv = ["analyze", "--input", str(GOLDENS / path), "--column", "ret", *flags]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_analyze_order_error_names_the_row(tmp_path, capsys):
@@ -271,6 +291,25 @@ def test_simulate_row_shape():
     assert row["weeks"] == 300
     assert set(row["h1"]["rejections"]) == {"at_10", "at_05", "at_01"}
     assert len(row["h2"]) == 5
+
+
+def _field_names(record_type) -> list[str]:
+    return [field.name for field in dataclasses.fields(record_type)]
+
+
+def test_report_keys_are_the_record_fields(fixture_csv, tmp_path):
+    simulate, hurst = tmp_path / "simulate.json", tmp_path / "hurst.json"
+    argv = ["simulate", "--hurst", "0.5", "--length", "500", "--reps", "2", "--seed", "1"]
+    assert cli.main([*argv, "--output", str(simulate)]) == 0
+    assert cli.main(["hurst", "--input", str(fixture_csv), "--column", "ret", "--output", str(hurst)]) == 0
+    (row,) = json.loads(simulate.read_text(encoding="utf-8"))["rows"]
+    assert list(row) == _field_names(SimulationReport)
+    chi, binomial = [row["h1"], *row["h2"], *row["h3"]], [row["h4"], row["h5"]]
+    assert all(list(agg) == _field_names(ChiAggregate) for agg in chi)
+    assert all(list(agg) == _field_names(BinomialAggregate) for agg in binomial)
+    assert all(list(agg["rejections"]) == _field_names(RejectionCounts) for agg in chi + binomial)
+    estimate = json.loads(hurst.read_text(encoding="utf-8"))["estimate"]
+    assert list(estimate) == _field_names(ordinal_seasonality.HurstEstimate)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from ordinal_seasonality.fgn import (
     EnsembleConfig,
     FgnConfig,
     _fgn_circulant,
+    by_test,
     fgn_autocovariance,
     fgn_generate,
     replication_rng,
@@ -215,12 +216,12 @@ def test_ensemble_deterministic_across_jobs():
 
 def test_ensemble_shape_and_payload():
     report = run_ensemble(_small_ensemble(0.5))
-    assert report.weeks_per_replication == 300
+    assert report.weeks == 300
     assert len(report.h2) == 5 and len(report.h3) == 5
     assert report.h1.averaged.df == 119
     assert report.h4.expected_frequency == pytest.approx(0.2)
     assert report.h5.expected_frequency == pytest.approx(0.05)
-    assert 0 <= report.h4.replications_above_expected <= report.replications
+    assert 0 <= report.h4.replications_above_expected <= 12
     assert report.generator == "circulant"
 
 
@@ -275,6 +276,17 @@ def _tests_on(values: np.ndarray, order: int):
     matrix = position_matrix(dist)
     outcomes = [h1_test(dist), *h2_test(matrix), *h3_test(matrix), h4_test(dist), h5_test(dist)]
     return [outcome.p_value for outcome in outcomes]
+
+
+@pytest.mark.parametrize("order", [3, 5])
+def test_by_test_reads_the_replication_layout(order):
+    values = np.random.default_rng(order).standard_normal(1000)
+    dist = count_patterns(values, order=order)
+    matrix = position_matrix(dist)
+    h2 = [outcome.p_value for outcome in h2_test(matrix)]
+    h3 = [outcome.p_value for outcome in h3_test(matrix)]
+    expected = (h1_test(dist).p_value, h2, h3, h4_test(dist).p_value, h5_test(dist).p_value)
+    assert by_test(_tests_on(values, order), order) == expected
 
 
 @pytest.mark.parametrize("source", ["tie-free", "ties"])

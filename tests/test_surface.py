@@ -74,23 +74,10 @@ PUBLIC_NAMES = [
 PUBLIC_SIGNATURES = {
     "EnsembleConfig": ("base", "replications", "master_seed"),
     "FgnConfig": ("hurst", "length", "seed"),
-    "HurstEstimate": ("h", "method", "window_sizes", "fit_points", "r_squared"),
+    "HurstEstimate": ("h", "method", "r_squared", "window_sizes", "fit_points"),
     "PatternDistribution": ("order", "counts", "windows", "ties_observed", "dropped_points"),
     "ReturnSeries": ("values", "dates", "label"),
-    "SimulationReport": (
-        "hurst",
-        "length",
-        "replications",
-        "master_seed",
-        "order",
-        "weeks_per_replication",
-        "generator",
-        "h1",
-        "h2",
-        "h3",
-        "h4",
-        "h5",
-    ),
+    "SimulationReport": ("hurst", "weeks", "generator", "h1", "h2", "h3", "h4", "h5"),
     "TestOutcome": ("statistic", "df", "p_value", "reject_10", "reject_05", "reject_01", "observed"),
     "binomial_test": ("p_e", "p_o", "weeks", "payload"),
     "calendar_weeks": ("series",),
