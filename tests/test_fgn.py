@@ -221,7 +221,7 @@ def test_ensemble_shape_and_payload():
     assert report.h1.averaged.df == 119
     assert report.h4.expected_frequency == pytest.approx(0.2)
     assert report.h5.expected_frequency == pytest.approx(0.05)
-    assert 0 <= report.h4.replications_above_expected <= 12
+    assert 0 <= report.h4.replications_above_expected <= 12  # the ensemble's replications
     assert report.generator == "circulant"
 
 
