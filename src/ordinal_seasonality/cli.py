@@ -468,13 +468,10 @@ def _analyze_section(part: ReturnSeries, args) -> dict:
         },
         "tests": {
             "h1_pattern_uniformity": _outcome_dict(h1),
+            "h4_monday_largest": _outcome_dict(test_h4_monday_largest(dist)),
+            "h5_monday_worst_friday_best": _outcome_dict(test_h5_monday_worst_friday_best(dist)),
         },
     }
-    if dist.order >= 3:
-        section["tests"]["h4_monday_largest"] = _outcome_dict(test_h4_monday_largest(dist))
-        section["tests"]["h5_monday_worst_friday_best"] = _outcome_dict(
-            test_h5_monday_worst_friday_best(dist)
-        )
     if args.hurst:
         estimate = estimate_hurst(part, method=HurstMethod(args.method))
         section["hurst"] = _record(estimate)
@@ -579,7 +576,7 @@ def cmd_shuffle(args) -> int:
 
     replicate = partial(shuffle_replication, series.values, order, args.seed)
     p_values = np.stack(run_replications(replicate, args.reps, args.jobs))
-    r1, r2, r3, r4, r5 = by_test(tally_rejections(p_values), order)
+    r1, r2, r3, r4, r5 = by_test(tally_rejections(p_values))
 
     alpha = SIGNIFICANCE_LEVELS[1]  # the per-replication decisions are at 5%
     per_replication = [
@@ -590,13 +587,11 @@ def cmd_shuffle(args) -> int:
             "h2_reject_days": [p < alpha for p in h2],
             "h3_reject_positions": [p < alpha for p in h3],
             "h4_p": h4,
-            "h4_reject": None if h4 is None else h4 < alpha,
+            "h4_reject": h4 < alpha,
             "h5_p": h5,
-            "h5_reject": None if h5 is None else h5 < alpha,
+            "h5_reject": h5 < alpha,
         }
-        for index, (h1, h2, h3, h4, h5) in enumerate(
-            by_test([None if math.isnan(p) else p for p in row], order) for row in p_values.tolist()
-        )
+        for index, (h1, h2, h3, h4, h5) in enumerate(map(by_test, p_values.tolist()))
     ]
 
     doc = {
@@ -607,9 +602,8 @@ def cmd_shuffle(args) -> int:
             "h1": _rate_dict(r1, args.reps),
             "h2_days": [{"rejections": _record(r)} for r in r2],
             "h3_positions": [{"rejections": _record(r)} for r in r3],
-            # H4 and H5 are not tested below order 3
-            "h4": _rate_dict(r4, args.reps) if order >= 3 else None,
-            "h5": _rate_dict(r5, args.reps) if order >= 3 else None,
+            "h4": _rate_dict(r4, args.reps),
+            "h5": _rate_dict(r5, args.reps),
         },
         "per_replication": per_replication,
     }
@@ -794,7 +788,3 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

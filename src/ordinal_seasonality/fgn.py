@@ -151,30 +151,28 @@ def replication_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)))
 
 
-def by_test(items, order: int) -> tuple:
+def by_test(items) -> tuple:
     """Split a sequence in the 2D+3 p-value layout into ``(h1, h2, h3, h4, h5)``.
 
     The layout is H1, the D day rows of H2, the D position columns of H3,
-    then H4 and H5; ``h2`` and ``h3`` are slices of ``items``.
+    then H4 and H5, so D follows from its length; ``h2`` and ``h3`` are
+    slices of ``items``.
     """
-    return items[0], items[1 : 1 + order], items[1 + order : 1 + 2 * order], items[-2], items[-1]
+    order = (len(items) - 3) // 2
+    return items[0], items[1 : 1 + order], items[1 + order : -2], items[-2], items[-1]
 
 
 def _tested(dist: PatternDistribution) -> np.ndarray:
-    """The 2D+3 test p-values of one replication, in :func:`by_test`'s layout.
-
-    H4 and H5 are NaN below order 3.
-    """
+    """The 2D+3 test p-values of one replication, in :func:`by_test`'s layout."""
     matrix = position_matrix(dist)
     outcomes = [
         test_h1_pattern_uniformity(dist),
         *test_h2_day_rows(matrix),
         *test_h3_position_columns(matrix),
+        test_h4_monday_largest(dist),
+        test_h5_monday_worst_friday_best(dist),
     ]
-    if dist.order >= 3:
-        outcomes += [test_h4_monday_largest(dist), test_h5_monday_worst_friday_best(dist)]
-    p_values = [o.p_value for o in outcomes] + [math.nan] * (2 * dist.order + 3 - len(outcomes))
-    return np.array(p_values)
+    return np.array([o.p_value for o in outcomes])
 
 
 def fgn_replication(
@@ -303,7 +301,7 @@ def run_ensemble(cfg: EnsembleConfig, jobs: int = 1) -> SimulationReport:
 
     replicate = partial(fgn_replication, base.hurst, base.length, order, cfg.master_seed)
     counts, p_values = map(np.stack, zip(*run_replications(replicate, reps, jobs)))
-    r1, r2, r3, r4, r5 = by_test(tally_rejections(p_values), order)
+    r1, r2, r3, r4, r5 = by_test(tally_rejections(p_values))
 
     mean_counts = counts.sum(axis=0) / reps
     mean_matrix = position_counts(mean_counts, order)

@@ -95,24 +95,19 @@ class PatternFamily(Enum):
     MONDAY_WORST_FRIDAY_BEST = "monday-worst-friday-best"
 
 
-def _family_order(order: int) -> int:
-    order = _validate_order(order)
-    if order < 3:
-        raise InvalidInputError("pattern families need order >= 3")
-    return order
-
-
 @lru_cache(maxsize=None)
 def family_index(kind: PatternFamily, order: int) -> np.ndarray:
     """Rows of the family's patterns in :func:`pattern_table`: a read-only, sorted int array.
 
     ``MONDAY_LARGEST`` selects patterns whose last digit is 0 (Monday holds
     the best return of the week), (D-1)! rows.  ``MONDAY_WORST_FRIDAY_BEST``
-    selects first digit 0 and last digit D-1, (D-2)! rows.  Indexing
+    selects first digit 0 and last digit D-1, (D-2)! rows: "Friday" is the
+    window's last day, so at order 2 the families are the complements
+    ``10`` and ``01``.  Indexing
     per-pattern counts with it gives the family's counts.  Built once per
     (kind, order) and shared by every caller.
     """
-    order = _family_order(order)
+    order = _validate_order(order)
     table = pattern_table(order)
     if kind is PatternFamily.MONDAY_LARGEST:
         members = table[:, -1] == 0
@@ -142,7 +137,7 @@ def family_share(kind: PatternFamily, order: int) -> float:
     division, so it equals ``len(pattern_family(kind, order)) / D!`` bit
     for bit, without building the family.
     """
-    order = _family_order(order)
+    order = _validate_order(order)
     return 1.0 / order if kind is PatternFamily.MONDAY_LARGEST else 1.0 / (order * (order - 1))
 
 

@@ -93,6 +93,11 @@ def test_patterns_family_filters():
     assert len(out.stdout.strip().splitlines()) == 24
 
 
+def test_patterns_family_at_order_two(capsys):
+    assert cli.main(["patterns", "--d", "2", "--family", "monday-largest"]) == 0
+    assert capsys.readouterr().out == "2,10\n"
+
+
 def test_patterns_json_format():
     out = run_cli("patterns", "--d", "3", "--format", "json")
     doc = json.loads(out.stdout)
@@ -115,6 +120,20 @@ def test_analyze_json(returns_csv):
     assert len(section["pattern_counts"]) == 120
     assert len(section["position_matrix"]["rows"]) == 5
     assert "h4_monday_largest" in section["tests"]
+
+
+@pytest.mark.parametrize("order", ["2", "3"])
+def test_analyze_runs_every_test_at_low_orders(order, tmp_path):
+    out = tmp_path / "analyze.json"
+    argv = ["analyze", "--input", str(GOLDENS / "returns2k.csv.gz"), "--column", "ret",
+            "--d", order, "--subperiods", "1000,1000", "--output", str(out)]
+    assert cli.main(argv) == 0
+    sections = json.loads(out.read_text(encoding="utf-8"))["sections"]
+    assert len(sections) == 2
+    for section in sections:
+        tests = section["tests"]
+        assert list(tests) == ["h1_pattern_uniformity", "h4_monday_largest", "h5_monday_worst_friday_best"]
+        assert all(type(outcome["p_value"]) is float for outcome in tests.values())
 
 
 def test_analyze_calendar_mode(returns_csv):
@@ -402,6 +421,20 @@ def test_shuffle_rate_at_alpha_is_the_5_percent_rejection_share(tmp_path):
             r[f"{key}_p"] < 0.05 for r in doc["per_replication"]
         ]
     assert sum(doc["aggregate"][key]["rejections"]["at_05"] for key in ("h1", "h4", "h5")) > 0
+
+
+def test_shuffle_tests_h4_and_h5_at_order_two(tmp_path):
+    out = tmp_path / "shuffle.json"
+    argv = ["shuffle", "--input", str(GOLDENS / "returns2k.csv.gz"), "--column", "ret",
+            "--d", "2", "--reps", "3", "--seed", "1", "--output", str(out)]
+    assert cli.main(argv) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert type(doc["aggregate"]["h4"]) is dict and type(doc["aggregate"]["h5"]) is dict
+    for row in doc["per_replication"]:
+        for key in ("h4", "h5"):
+            assert type(row[f"{key}_p"]) is float and type(row[f"{key}_reject"]) is bool
+        # at order 2 the families are the complements 10 and 01: equal up to rounding
+        assert row["h4_p"] == pytest.approx(row["h5_p"], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

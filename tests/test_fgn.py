@@ -286,7 +286,7 @@ def test_by_test_reads_the_replication_layout(order):
     h2 = [outcome.p_value for outcome in h2_test(matrix)]
     h3 = [outcome.p_value for outcome in h3_test(matrix)]
     expected = (h1_test(dist).p_value, h2, h3, h4_test(dist).p_value, h5_test(dist).p_value)
-    assert by_test(_tests_on(values, order), order) == expected
+    assert by_test(_tests_on(values, order)) == expected
 
 
 @pytest.mark.parametrize("source", ["tie-free", "ties"])

@@ -146,7 +146,7 @@ def test_table_position_counts_equal_the_loop_bit_for_bit(order):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("order", range(3, 8))
+@pytest.mark.parametrize("order", range(2, 8))
 def test_table_families_equal_enumeration(order):
     for kind in PatternFamily:
         rows = family_index(kind, order)
@@ -327,9 +327,10 @@ def test_family_cardinalities(order):
     assert worst_best <= set(range(1, math.factorial(order) + 1))
 
 
-def test_family_requires_order_three():
-    with pytest.raises(InvalidInputError):
-        pattern_family(PatternFamily.MONDAY_LARGEST, 2)
+def test_families_at_order_two_are_the_complements():
+    # Friday is the window's last day, so at order 2 it is day 1
+    assert pattern_family(PatternFamily.MONDAY_LARGEST, 2) == {2}  # 10
+    assert pattern_family(PatternFamily.MONDAY_WORST_FRIDAY_BEST, 2) == {1}  # 01
 
 
 def test_family_rejects_a_kind_that_is_not_a_family():
