@@ -240,7 +240,7 @@ class BinomialAggregate:
 
     expected_frequency: float
     mean_observed_frequency: float
-    averaged: TestOutcome  # z computed from the mean observed frequency
+    averaged: TestOutcome  # the binomial test of the mean family count per replication
     rejections: RejectionCounts
     replications_above_expected: int
 
@@ -273,11 +273,12 @@ def _family_aggregate(
     kind: PatternFamily, counts: np.ndarray, order: int, weeks: int, rejections: RejectionCounts
 ) -> BinomialAggregate:
     p_e = family_share(kind, order)
-    p_o = counts[:, family_index(kind, order)].sum(axis=1) / weeks
+    family_counts = counts[:, family_index(kind, order)].sum(axis=1)
+    p_o = family_counts / weeks
     return BinomialAggregate(
         expected_frequency=p_e,
         mean_observed_frequency=float(p_o.mean()),
-        averaged=binomial_test(p_e, float(p_o.mean()), weeks, {"kind": kind.value}),
+        averaged=binomial_test(p_e, float(family_counts.mean()), weeks, {"kind": kind.value}),
         rejections=rejections,
         replications_above_expected=int((p_o > p_e).sum()),
     )
@@ -289,8 +290,8 @@ def run_ensemble(cfg: EnsembleConfig, jobs: int = 1) -> SimulationReport:
     The report is a deterministic function of ``cfg`` alone: replication
     seeds derive from ``master_seed`` and the replication index, and the
     reduction merges results in index order, so any ``jobs`` value yields
-    bit-identical output.  The averaged-frequency z statistics use the
-    weeks per replication.
+    bit-identical output.  The averaged H4 and H5 outcomes test the mean
+    family count over the weeks per replication.
     """
     base = cfg.base
     order = 5

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -197,44 +198,56 @@ def test_h3_position_columns(matrix) -> list[TestOutcome]:
     return _line_tests(np.asarray(matrix).T, "position-column", "position")
 
 
-def binomial_test(p_e: float, p_o: float, weeks: int, payload: dict | None = None) -> TestOutcome:
-    """Two-sided binomial test of an observed frequency ``p_o`` over ``weeks`` weeks.
+@lru_cache(maxsize=8)
+def _binomial_pmf(weeks: int, p_e: float) -> np.ndarray:
+    """Binomial(weeks, p_e) probabilities of the counts 0..weeks, as a read-only array.
 
-    The statistic is z = (p_e - p_o) / sqrt(p_o q_o / N), negative when
-    the observed frequency exceeds the expected one.  At p_o = 0 or 1 the
-    denominator vanishes: the exact all-or-nothing binomial tail gives the
-    p-value, z is +inf or -inf, and the payload flags the outcome as
-    degenerate.
+    Sums the log ratios of neighbouring terms outward from the mode and
+    normalises the terms by their total, so no term carries the rounding
+    of a large ``lgamma``.  Cached: every replication of a run shares it.
+    """
+    mode = int((weeks + 1) * p_e)
+    # log pmf(k + 1) / pmf(k) = log((W - k) / (k + 1) * p_e / (1 - p_e)) for k = 0..W-1
+    step = np.log(np.arange(weeks, 0, -1) / np.arange(1.0, weeks + 1) * (p_e / (1.0 - p_e)))
+    pmf = np.exp(np.concatenate([-np.cumsum(step[:mode][::-1])[::-1], [0.0], np.cumsum(step[mode:])]))
+    pmf /= pmf.sum()
+    pmf.flags.writeable = False
+    return pmf
+
+
+def binomial_test(p_e: float, count: float, weeks: int, payload: dict | None = None) -> TestOutcome:
+    """Two-sided exact binomial test of a family ``count`` over ``weeks`` weeks.
+
+    The p-value is the Binomial(weeks, p_e) mass of the counts no likelier
+    than ``count``, which may be a non-integer mean: the "minlike" rule and
+    1e-7 tolerance of ``scipy.stats.binomtest``.  The statistic is the
+    paper's z = (p_e - p_o) / sqrt(p_o q_o / N) at p_o = count / N, negative
+    when p_o exceeds p_e, and +inf or -inf at p_o = 0 or 1.
     """
     if not 0.0 < p_e < 1.0:
         raise InvalidInputError("expected frequency must lie in (0, 1)")
-    if not 0.0 <= p_o <= 1.0:  # nan fails too
-        raise InvalidInputError(f"observed frequency {p_o} outside [0, 1]")
     if weeks < 1:
         raise InvalidInputError("week count must be >= 1")
-    q_o = 1.0 - p_o
-    payload = dict(payload or {}, p_e=float(p_e), p_o=float(p_o), q_o=float(q_o), weeks=int(weeks))
-    if p_o == 0.0 or p_o == 1.0:
-        # maximal under- or over-representation
-        statistic, tail = (math.inf, (1.0 - p_e) ** weeks) if p_o == 0.0 else (-math.inf, p_e**weeks)
-        payload["degenerate"] = True
-        payload["exact_tail"] = float(tail)
-        return TestOutcome.from_p(statistic, None, min(1.0, 2.0 * tail), payload)
-    z = (p_e - p_o) / math.sqrt(p_o * q_o / weeks)
-    payload["degenerate"] = False
-    payload["p_upper_tail"] = normal_sf(z)
-    payload["p_lower_tail"] = normal_sf(-z)
-    return TestOutcome.from_p(z, None, 2.0 * normal_sf(abs(z)), payload)
+    if not 0.0 <= count <= weeks:  # nan fails too
+        raise InvalidInputError(f"family count {count} outside [0, {weeks}]")
+    p_o = count / weeks
+    payload = dict(payload or {}, p_e=float(p_e), p_o=float(p_o), weeks=int(weeks))
+    z = ((p_e - p_o) / math.sqrt(p_o * (1.0 - p_o) / weeks) if 0.0 < p_o < 1.0
+         else math.copysign(math.inf, p_e - p_o))
+    # both sums commute, so at p_e = 1/2 the counts k and W - k get the same bits (order 2's H4 and H5)
+    log_likelihood = math.lgamma(weeks + 1) - (math.lgamma(count + 1) + math.lgamma(weeks - count + 1))
+    log_likelihood += count * math.log(p_e) + (weeks - count) * math.log(1.0 - p_e)
+    pmf = _binomial_pmf(int(weeks), float(p_e))
+    p_value = min(1.0, float(pmf[pmf <= math.exp(log_likelihood) * (1.0 + 1e-7)].sum()))
+    return TestOutcome.from_p(z, None, p_value, payload)
 
 
 def _family_test(dist: PatternDistribution, kind: PatternFamily) -> TestOutcome:
-    if dist.windows <= 0:
-        raise InvalidInputError("distribution has no windows")
     count = int(dist.counts[family_index(kind, dist.order)].sum())
     # read through this module's name, which bench/tracer.py wraps as the patterns.family span
     size = len(pattern_family(kind, dist.order))
     payload = {"kind": kind.value, "family_size": size, "family_count": count}
-    return binomial_test(family_share(kind, dist.order), count / dist.windows, dist.windows, payload)
+    return binomial_test(family_share(kind, dist.order), count, dist.windows, payload)
 
 
 def test_h4_monday_largest(dist: PatternDistribution) -> TestOutcome:

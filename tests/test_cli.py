@@ -433,8 +433,8 @@ def test_shuffle_tests_h4_and_h5_at_order_two(tmp_path):
     for row in doc["per_replication"]:
         for key in ("h4", "h5"):
             assert type(row[f"{key}_p"]) is float and type(row[f"{key}_reject"]) is bool
-        # at order 2 the families are the complements 10 and 01: equal up to rounding
-        assert row["h4_p"] == pytest.approx(row["h5_p"], rel=1e-12)
+        # at order 2 the families are the complements 10 and 01: the same test
+        assert row["h4_p"] == row["h5_p"]
 
 
 # ---------------------------------------------------------------------------

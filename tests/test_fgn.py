@@ -21,7 +21,7 @@ from ordinal_seasonality.fgn import (
 )
 from ordinal_seasonality.ingest import load_csv
 from ordinal_seasonality.patterns import count_patterns
-from ordinal_seasonality.stats import binomial_test, position_matrix
+from ordinal_seasonality.stats import SIGNIFICANCE_LEVELS, binomial_test, position_matrix
 from ordinal_seasonality.stats import test_h1_pattern_uniformity as h1_test
 from ordinal_seasonality.stats import test_h2_day_rows as h2_test
 from ordinal_seasonality.stats import test_h3_position_columns as h3_test
@@ -309,7 +309,7 @@ def _exact_size(p_e: float, weeks: int, alpha: float) -> float:
     The size is the binomial mass of the observed counts that it rejects.
     """
     counts = np.arange(weeks + 1)
-    region = [binomial_test(p_e, k / weeks, weeks).p_value < alpha for k in counts]
+    region = [binomial_test(p_e, k, weeks).p_value < alpha for k in counts]
     return float(binom.pmf(counts[region], weeks, p_e).sum())
 
 
@@ -324,6 +324,11 @@ def test_family_rejections_of_untied_shuffles_match_the_exact_binomial_size():
         size = _exact_size(p_e, weeks, 0.05)
         low, high = binom.interval(0.999, reps, size)
         assert low <= rejections.at_05 <= high, (p_e, size, rejections.at_05)
-    # the z-test's true size at nominal 5%: near it for H4, well above it for H5
-    assert _exact_size(1 / 5, weeks, 0.05) == pytest.approx(0.0540, abs=1e-4)
-    assert _exact_size(1 / 20, weeks, 0.05) == pytest.approx(0.0728, abs=1e-4)
+    # the exact test's true size at nominal 5%
+    assert _exact_size(1 / 5, weeks, 0.05) == pytest.approx(0.0455, abs=1e-4)
+    assert _exact_size(1 / 20, weeks, 0.05) == pytest.approx(0.0498, abs=1e-4)
+    # and it never exceeds the nominal level
+    for w in (1, 10, 50, 200, 400, 2440, 2710):
+        for p_e in (1 / 5, 1 / 20):
+            for alpha in SIGNIFICANCE_LEVELS:
+                assert _exact_size(p_e, w, alpha) <= alpha, (w, p_e, alpha)

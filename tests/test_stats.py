@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc, gammainccinv
+from scipy.stats import binomtest
 
 import ordinal_seasonality
 
@@ -202,56 +203,70 @@ def test_outcome_decision_monotonicity_property():
 
 
 # ---------------------------------------------------------------------------
-# binomial z
+# binomial test
 # ---------------------------------------------------------------------------
 
 
 def test_binomial_z_zero_when_matched():
-    assert binomial_test(0.2, 0.2, 100).statistic == 0.0
+    assert binomial_test(0.2, 20, 100).statistic == 0.0
 
 
 def test_binomial_z_derived_value():
-    z = binomial_test(0.05, 0.0625, 400).statistic
+    z = binomial_test(0.05, 25, 400).statistic
     assert z == pytest.approx(-1.0327955589886442, abs=1e-5)
 
 
 def test_binomial_z_sign_convention():
     # under-representation (observed below expected) gives positive z
-    z = binomial_test(0.2, 0.18850, 2000).statistic
+    z = binomial_test(0.2, 377, 2000).statistic
     assert z > 0
 
 
-@pytest.mark.parametrize(("p_e", "p_o", "weeks"), [(0.2, 0.3, 5000), (0.2, 0.1885, 2000)])
-def test_binomial_tails_do_not_cancel(p_e, p_o, weeks):
-    outcome = binomial_test(p_e, p_o, weeks)
-    payload, z = outcome.observed, outcome.statistic
-    phi = 0.5 * math.erfc(-z / math.sqrt(2.0))  # P(Z <= z), about 5e-54 for the first case
-    assert payload["p_lower_tail"] == pytest.approx(phi, rel=1e-12, abs=0.0)
-    assert payload["p_upper_tail"] == pytest.approx(0.5 * math.erfc(z / math.sqrt(2.0)), rel=1e-12, abs=0.0)
+def _binomtest_cases():
+    rng = np.random.default_rng(24)
+    for weeks in (1, 2, 3, 10, 50, 400, 2710, 40_000, 200_000):
+        for p_e in (1 / 2, 1 / 5, 1 / 20, 1 / 90):
+            mode = int((weeks + 1) * p_e)
+            for count in {0, weeks, mode, min(mode + 1, weeks), *rng.integers(0, weeks + 1, 8).tolist()}:
+                yield p_e, count, weeks
+    yield 0.2, 1500, 5000  # far upper tail, p about 3e-63
 
 
-def test_binomial_z_degenerate_is_flagged():
-    empty = binomial_test(0.2, 0.0, 10)
-    assert empty.observed["degenerate"] is True
+def test_binomial_p_value_matches_binomtest():
+    for p_e, count, weeks in _binomtest_cases():
+        reference = binomtest(count, weeks, p_e).pvalue
+        if reference > 1e-250:
+            p_value = binomial_test(p_e, count, weeks).p_value
+            assert p_value == pytest.approx(reference, rel=1e-11, abs=0.0), (p_e, count, weeks)
+
+
+def test_binomial_mean_count_lies_between_its_neighbours():
+    # a mean count is read at its own likelihood: 25.5 of 100 lies between 25 and 26
+    p_26, p_mean, p_25 = (binomial_test(0.2, count, 100).p_value for count in (26, 25.5, 25))
+    assert p_26 < p_mean < p_25
+
+
+def test_binomial_z_is_infinite_at_zero_and_full_counts():
+    empty = binomial_test(0.2, 0, 10)
     assert empty.statistic == math.inf
-    assert empty.p_value == 2.0 * (1.0 - 0.2) ** 10
-    full = binomial_test(0.2, 1.0, 10)
-    assert full.observed["degenerate"] is True
+    assert empty.p_value == pytest.approx(binomtest(0, 10, 0.2).pvalue, rel=1e-12)
+    full = binomial_test(0.2, 10, 10)
     assert full.statistic == -math.inf
-    assert full.p_value == 2.0 * 0.2**10
-    assert binomial_test(0.2, 0.5, 10).observed["degenerate"] is False
+    assert full.p_value == pytest.approx(binomtest(10, 10, 0.2).pvalue, rel=1e-12)
+    for outcome in (empty, full, binomial_test(0.2, 5, 10)):
+        assert set(outcome.observed) == {"p_e", "p_o", "weeks"}
 
 
-@pytest.mark.parametrize("p_o", [1.5, -0.1, math.nan, math.inf])
-def test_binomial_rejects_impossible_observed_frequency(p_o):
-    with pytest.raises(InvalidInputError, match="observed frequency"):
-        binomial_test(0.2, p_o, 10)
+@pytest.mark.parametrize("count", [-1, 11, math.nan, math.inf])
+def test_binomial_rejects_impossible_observed_frequency(count):
+    with pytest.raises(InvalidInputError, match="family count"):
+        binomial_test(0.2, count, 10)
 
 
 @pytest.mark.parametrize(("p_e", "weeks"), [(0.0, 10), (1.0, 10), (math.nan, 10), (0.2, 0)])
 def test_binomial_rejects_bad_expected_frequency_and_weeks(p_e, weeks):
     with pytest.raises(InvalidInputError):
-        binomial_test(p_e, 0.5, weeks)
+        binomial_test(p_e, 5, weeks)
 
 
 @pytest.mark.parametrize("order", range(2, 11))
@@ -293,9 +308,11 @@ def test_h4_degenerate_zero_family_count():
     counts = np.zeros(120, dtype=np.int64)
     counts[0] = 50  # no Monday-largest weeks at all
     outcome = h4_test(_dist_from_counts(counts))
-    assert outcome.observed["degenerate"] is True
-    assert math.isinf(outcome.statistic)
-    assert outcome.p_value == pytest.approx(min(1.0, 2.0 * 0.8**50))
+    assert "degenerate" not in outcome.observed
+    assert outcome.statistic == math.inf
+    # the exact two-sided tail, not the doubled one-sided 2 * 0.8**50 = 2.8545e-05
+    assert outcome.p_value == pytest.approx(binomtest(0, 50, 0.2).pvalue, rel=1e-12)
+    assert outcome.p_value == pytest.approx(2.2531e-05, abs=1e-9)
 
 
 def test_h5_exact_share_gives_zero():
