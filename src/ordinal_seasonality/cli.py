@@ -356,7 +356,7 @@ def _outcome_dict(outcome: TestOutcome) -> dict:
         "reject_05": outcome.reject_05,
         "reject_01": outcome.reject_01,
     }
-    doc.update({k: v for k, v in outcome.observed.items() if k not in doc})
+    doc.update(outcome.observed)
     return doc
 
 
@@ -726,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--d", type=int, default=5, help="pattern order (window length)")
     analyze.add_argument("--subperiods", type=_subperiod_list, default=None)
     analyze.add_argument("--hurst", action="store_true", help="include a Hurst estimate per section")
-    analyze.add_argument("--method", choices=("rs", "dfa"), default="rs")
+    analyze.add_argument("--method", choices=tuple(m.value for m in HurstMethod), default="rs")
     _add_output_flags(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
@@ -761,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     hurst_cmd = commands.add_parser("hurst", help="estimate the Hurst exponent of a series")
     _add_input_flags(hurst_cmd)
-    hurst_cmd.add_argument("--method", choices=("rs", "dfa"), default="rs")
+    hurst_cmd.add_argument("--method", choices=tuple(m.value for m in HurstMethod), default="rs")
     _add_output_flags(hurst_cmd)
     hurst_cmd.set_defaults(func=cmd_hurst)
 

@@ -262,8 +262,9 @@ class SimulationReport:
     h5: BinomialAggregate
 
 
-def _averaged_chi_outcome(mean_cells: np.ndarray, df: int, payload: dict) -> TestOutcome:
+def _averaged_chi_outcome(mean_cells: np.ndarray, payload: dict) -> TestOutcome:
     q = chi2_statistic(mean_cells)
+    df = mean_cells.size - 1
     payload = dict(payload)
     payload["mean_expected_frequency"] = float(mean_cells.sum() / mean_cells.size)
     return TestOutcome.from_p(q, df, chi2_sf(q, df), payload)
@@ -302,36 +303,23 @@ def run_ensemble(cfg: EnsembleConfig, jobs: int = 1) -> SimulationReport:
 
     replicate = partial(fgn_replication, base.hurst, base.length, order, cfg.master_seed)
     counts, p_values = map(np.stack, zip(*run_replications(replicate, reps, jobs)))
-    r1, r2, r3, r4, r5 = by_test(tally_rejections(p_values))
+    rejections = tally_rejections(p_values)
 
     mean_counts = counts.sum(axis=0) / reps
     mean_matrix = position_counts(mean_counts, order)
-    df = order - 1
-
-    return SimulationReport(
-        hurst=base.hurst,
-        weeks=weeks,
-        generator="circulant",
-        h1=ChiAggregate(
-            averaged=_averaged_chi_outcome(mean_counts, mean_counts.size - 1, {"kind": "pattern-uniformity"}),
-            rejections=r1,
+    averaged = [
+        _averaged_chi_outcome(mean_counts, {"kind": "pattern-uniformity"}),
+        *(_averaged_chi_outcome(row, {"kind": "day-row", "day": i}) for i, row in enumerate(mean_matrix)),
+        *(
+            _averaged_chi_outcome(column, {"kind": "position-column", "position": j})
+            for j, column in enumerate(mean_matrix.T)
         ),
-        h2=tuple(
-            ChiAggregate(
-                averaged=_averaged_chi_outcome(mean_matrix[i, :], df, {"kind": "day-row", "day": i}),
-                rejections=rejections,
-            )
-            for i, rejections in enumerate(r2)
+    ]
+    aggregates = (
+        *(ChiAggregate(outcome, r) for outcome, r in zip(averaged, rejections[:-2])),
+        *(
+            _family_aggregate(kind, counts, order, weeks, r)
+            for kind, r in zip(PatternFamily, rejections[-2:])
         ),
-        h3=tuple(
-            ChiAggregate(
-                averaged=_averaged_chi_outcome(
-                    mean_matrix[:, j], df, {"kind": "position-column", "position": j}
-                ),
-                rejections=rejections,
-            )
-            for j, rejections in enumerate(r3)
-        ),
-        h4=_family_aggregate(PatternFamily.MONDAY_LARGEST, counts, order, weeks, r4),
-        h5=_family_aggregate(PatternFamily.MONDAY_WORST_FRIDAY_BEST, counts, order, weeks, r5),
     )
+    return SimulationReport(base.hurst, weeks, "circulant", *by_test(aggregates))

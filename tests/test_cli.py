@@ -380,6 +380,26 @@ def test_replication_engine_rejects_bad_counts(command, flags, message, returns_
     assert message in err and "Traceback" not in err
 
 
+# a simulate week is 5 returns: below that no window fits
+@pytest.mark.parametrize(
+    ("length", "code", "message"),
+    [
+        ("1", 2, "length must be >= 2"),
+        ("4", 2, "length too short for a single week window"),
+        ("5", 0, None),
+    ],
+)
+def test_simulate_lengths_around_one_week(length, code, message, capsys):
+    argv = ["simulate", "--hurst", "0.5", "--length", length, "--reps", "2", "--seed", "1"]
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    if message is None:
+        assert captured.err == ""
+        assert [row["weeks"] for row in json.loads(captured.out)["rows"]] == [1]
+    else:
+        assert message in captured.err and "Traceback" not in captured.err
+
+
 # each test is decided at 10, 5 and 1%; no option sets another level
 @pytest.mark.parametrize("command", ["analyze", "simulate", "shuffle"])
 def test_alpha_is_not_an_option(command, returns_csv, capsys):

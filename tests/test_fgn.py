@@ -13,6 +13,7 @@ from ordinal_seasonality.fgn import (
     by_test,
     fgn_autocovariance,
     fgn_generate,
+    fgn_replication,
     replication_rng,
     run_ensemble,
     run_replications,
@@ -223,6 +224,16 @@ def test_ensemble_shape_and_payload():
     assert report.h5.expected_frequency == pytest.approx(0.05)
     assert 0 <= report.h4.replications_above_expected <= 12  # the ensemble's replications
     assert report.generator == "circulant"
+    assert [line.averaged.df for line in (*report.h2, *report.h3)] == [4] * 10
+    assert [line.averaged.observed["day"] for line in report.h2] == list(range(5))
+    assert [line.averaged.observed["position"] for line in report.h3] == list(range(5))
+    # recount: each line rejects in as many replications as its column has p-values below each level
+    p_values = np.array([fgn_replication(0.5, 1500, 5, 77, index)[1] for index in range(12)])
+    lines = [report.h1, *report.h2, *report.h3, report.h4, report.h5]
+    assert len(lines) == p_values.shape[1]
+    for line, column in zip(lines, p_values.T):
+        r = line.rejections
+        assert [r.at_10, r.at_05, r.at_01] == [int((column < a).sum()) for a in SIGNIFICANCE_LEVELS]
 
 
 def test_ensemble_rejection_rate_minimal_at_half():
