@@ -575,7 +575,7 @@ def cmd_shuffle(args) -> int:
         raise InvalidInputError("series shorter than one window")
 
     replicate = partial(shuffle_replication, series.values, order, args.seed)
-    p_values = np.stack(run_replications(replicate, args.reps, args.jobs))
+    p_values = np.stack(run_replications(replicate, range(args.reps), args.jobs))
     r1, r2, r3, r4, r5 = by_test(tally_rejections(p_values))
 
     alpha = SIGNIFICANCE_LEVELS[1]  # the per-replication decisions are at 5%

@@ -10,14 +10,19 @@ Noise of standard deviation sigma is sigma times a draw.
 The embedding's eigenvalues are non-negative for every H in (0, 1), and
 gamma is evaluated without cancellation, so no input needs a fallback.
 Of the 2n-entry Hermitian spectrum a draw fills only the n+1 non-redundant
-entries, from 2n standard normals in two blocks of n, and takes one
-``np.fft.hfft``; each (length, H) caches its per-frequency scale.
+entries, from 2n standard normals, and takes the Hermitian FFT; each
+(length, H) caches its per-frequency scale.  Draws come in blocks: each
+row of one (B, n+1) spectrum is filled from its own generator, and one
+transform along the rows serves them all.  A single draw is a block of
+one, so there is one sampler.
 
 One engine, :func:`run_replications`, repeats the five seasonality tests
 over seeded replications, serially or on a process pool.  It drives both
-the fGn experiment (:func:`run_ensemble`, the ``simulate`` command) and the
+the fGn experiment (:func:`run_ensemble`, the ``simulate`` command), in
+blocks of at most 1 MiB of spectrum (:func:`fgn_blocks`), and the
 shuffled-surrogate experiment (:func:`shuffle_replication`, the ``shuffle``
-command).
+command), one replication per unit.  Both read only the p-values of the
+2D+3 tests (:func:`_p_values`).
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,13 +49,12 @@ from .patterns import (
 from .stats import (
     SIGNIFICANCE_LEVELS,
     TestOutcome,
+    _pearson,
     binomial_test,
     chi2_sf,
     chi2_statistic,
     position_matrix,
-    test_h1_pattern_uniformity,
-    test_h2_day_rows,
-    test_h3_position_columns,
+    test_h1_pattern_uniformity,  # unused here; bench/tracer.py wraps fgn.test_h1_pattern_uniformity by name
     test_h4_monday_largest,
     test_h5_monday_worst_friday_best,
 )
@@ -125,17 +129,44 @@ def _circulant_scale(length: int, hurst: float) -> np.ndarray:
     return scale
 
 
+def _fgn_block(
+    spectrum: np.ndarray, normals: np.ndarray, hurst: float, rngs: list[np.random.Generator]
+) -> np.ndarray:
+    """One fGn draw per generator: a (len(rngs), n) array, row r from ``rngs[r]``.
+
+    ``spectrum`` and ``normals`` are the workspace of :func:`_workspace`;
+    only the first len(rngs) rows of the spectrum are written.  Each
+    generator reads 2n standard normals into ``normals``: the first n+1 are
+    the real parts of frequencies 0..n, the last n-1 the imaginary parts of
+    frequencies 1..n-1.  Its row holds the conjugate of that spectrum,
+    scaled, and one ``np.fft.irfft`` with ``norm="forward"`` transforms
+    every row.  That is what ``np.fft.hfft`` does after conjugating a copy
+    of its input, so the draws equal ``hfft`` of the spectrum bit for bit,
+    without the copy.  A row transforms and scales as it would alone, so a
+    draw does not depend on the block it is drawn in.
+    """
+    n = spectrum.shape[1] - 1
+    block = spectrum[: len(rngs)]
+    for row, rng in zip(block, rngs):
+        rng.standard_normal(out=normals)
+        row.real = normals[: n + 1]
+        np.negative(normals[n + 1 :], out=row.imag[1:n])
+    block *= _circulant_scale(n, hurst)
+    return np.fft.irfft(block, 2 * n, axis=-1, norm="forward")[:, :n]
+
+
+def _workspace(rows: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The workspace of :func:`_fgn_block` for blocks of up to ``rows`` draws.
+
+    A zeroed complex (rows, n+1) spectrum, whose imaginary parts at
+    frequencies 0 and n stay zero, and a buffer of 2n normals.
+    """
+    return np.zeros((rows, length + 1), dtype=complex), np.empty(2 * length)
+
+
 def _fgn_circulant(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
-    n = length
-    g1 = rng.standard_normal(n)
-    g2 = rng.standard_normal(n)
-    w = np.empty(n + 1, dtype=complex)
-    w.real[:n] = g1
-    w.real[n] = g2[0]
-    w.imag[1:n] = g2[1:]
-    w.imag[0] = w.imag[n] = 0.0
-    w *= _circulant_scale(n, hurst)
-    return np.fft.hfft(w, 2 * n)[:n]
+    """One fGn draw: a block of one."""
+    return _fgn_block(*_workspace(1, length), hurst, [rng])[0]
 
 
 def fgn_generate(cfg: FgnConfig) -> ReturnSeries:
@@ -162,26 +193,59 @@ def by_test(items) -> tuple:
     return items[0], items[1 : 1 + order], items[1 + order : -2], items[-2], items[-1]
 
 
-def _tested(dist: PatternDistribution) -> np.ndarray:
-    """The 2D+3 test p-values of one replication, in :func:`by_test`'s layout."""
+def _p_values(dist: PatternDistribution) -> np.ndarray:
+    """The 2D+3 test p-values of one replication, in :func:`by_test`'s layout.
+
+    The public ``test_h*`` functions' p-values bit for bit, without building
+    their outcomes: one Pearson pass over the pattern counts, one over the
+    position matrix's D rows and D columns stacked as (2D, D) rows, then one
+    chi-squared tail each.  H4 and H5 are the public tests.
+    """
     matrix = position_matrix(dist)
-    outcomes = [
-        test_h1_pattern_uniformity(dist),
-        *test_h2_day_rows(matrix),
-        *test_h3_position_columns(matrix),
-        test_h4_monday_largest(dist),
-        test_h5_monday_worst_friday_best(dist),
-    ]
-    return np.array([o.p_value for o in outcomes])
+    q_patterns = _pearson(dist.counts.astype(float))[0]
+    q_lines = _pearson(np.concatenate([matrix, matrix.T], dtype=float))[0]
+    return np.array([
+        chi2_sf(q_patterns, dist.counts.size - 1),
+        *(chi2_sf(q, dist.order - 1) for q in q_lines.tolist()),
+        test_h4_monday_largest(dist).p_value,
+        test_h5_monday_worst_friday_best(dist).p_value,
+    ])
+
+
+class FgnReplications:
+    """Pattern counts and test p-values of fGn replications, one block of indices per call.
+
+    Each call draws its block with :func:`_fgn_block`, each sample from its
+    own :func:`replication_rng` stream, so a replication's result does not
+    depend on the block it is drawn in.  The workspace (spectrum and
+    normals buffer) is made on the first call and kept for the next ones.
+    Made afresh per block and freed with the block's transform, it left
+    about 2 MiB free at the top of the heap after every block; glibc
+    returned that to the system and the next block faulted it back in,
+    page by page.  A pool worker unpickles its own copy per batch of
+    blocks, before any workspace exists.
+    """
+
+    def __init__(self, hurst: float, length: int, order: int, master_seed: int):
+        self.hurst, self.length, self.order, self.master_seed = hurst, length, order, master_seed
+        self._workspace: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __call__(self, indices: range) -> list[tuple[np.ndarray, np.ndarray]]:
+        if self._workspace is None or len(self._workspace[0]) < len(indices):
+            self._workspace = _workspace(len(indices), self.length)
+        rngs = [replication_rng(self.master_seed, index) for index in indices]
+        results = []
+        for values in _fgn_block(*self._workspace, self.hurst, rngs):
+            dist = count_patterns(values, order=self.order)
+            results.append((dist.counts, _p_values(dist)))
+        return results
 
 
 def fgn_replication(
     hurst: float, length: int, order: int, master_seed: int, index: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pattern counts and test p-values of the fGn sample of replication ``index``."""
-    rng = replication_rng(master_seed, index)
-    dist = count_patterns(_fgn_circulant(length, hurst, rng), order=order)
-    return dist.counts, _tested(dist)
+    """Pattern counts and test p-values of the fGn sample of replication ``index``, a block of one."""
+    return FgnReplications(hurst, length, order, master_seed)(range(index, index + 1))[0]
 
 
 def shuffle_replication(values: np.ndarray, order: int, master_seed: int, index: int) -> np.ndarray:
@@ -189,26 +253,48 @@ def shuffle_replication(values: np.ndarray, order: int, master_seed: int, index:
     rng = replication_rng(master_seed, index)
     # shuffling a copy draws the same swaps as permuting indices, so equals values[permutation(n)]
     shuffled = rng.permutation(values)
-    return _tested(count_patterns(shuffled, order=order))
+    return _p_values(count_patterns(shuffled, order=order))
 
 
-def run_replications(replicate: Callable[[int], object], reps: int, jobs: int) -> list:
-    """Run ``replicate(index)`` for every index in ``range(reps)``.
+# the most bytes of complex spectrum one block of fGn draws holds
+_BLOCK_BYTES = 2**20
 
-    ``replicate`` must pickle for ``jobs > 1``: a module-level replication
-    function bound with :func:`functools.partial`.  Returns the results in
-    index order, item ``r`` from replication ``r``.  Each replication seeds
-    itself from its index and ``Executor.map`` yields results in input
-    order, so the output does not depend on ``jobs``.
+
+def fgn_blocks(length: int, reps: int) -> list[range]:
+    """Consecutive replication indices ``0..reps-1`` in blocks of B draws of ``length`` points.
+
+    B = max(1, min(reps, 2**20 // (16 (n+1)))): one block's (B, n+1)
+    complex spectrum, and so its (B, 2n) transform, holds at most 1 MiB (6
+    draws at n = 10,000, one draw from n = 65,536 up).  At n = 10,000 that
+    budget ran ``simulate`` fastest: blocks of one or three draws took over
+    20% longer, and blocks of 2 or 4 MiB gained nothing while peak memory
+    grew by 7% or 21%.  The blocks depend only on the length and ``reps``.
     """
-    if reps < 1:
+    size = max(1, min(reps, _BLOCK_BYTES // (16 * (length + 1))))
+    return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
+
+
+def run_replications(replicate: Callable, units: Sequence, jobs: int) -> list:
+    """Run ``replicate(unit)`` for every work unit, serially or on a process pool.
+
+    A unit is a replication index (``shuffle``) or a block of consecutive
+    indices from :func:`fgn_blocks` (``simulate``).  A shuffle is a
+    permutation with no transform to share, so a block of them would save
+    nothing, and ``shuffle`` keeps one replication per unit.  ``replicate``
+    must pickle for ``jobs > 1``: a module-level replication function bound
+    with :func:`functools.partial`, or a :class:`FgnReplications`.  Returns
+    the results in unit order.  Each replication seeds itself from its
+    index, the units never depend on ``jobs``, and ``Executor.map`` yields
+    results in input order, so the output does not depend on ``jobs``.
+    """
+    if len(units) < 1:
         raise InvalidInputError("replications must be >= 1")
     if jobs < 1:
         raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or reps == 1:
-        return [replicate(index) for index in range(reps)]
-    with ProcessPoolExecutor(max_workers=min(jobs, reps)) as pool:
-        return list(pool.map(replicate, range(reps), chunksize=max(1, reps // (4 * jobs))))
+    if jobs == 1 or len(units) == 1:
+        return [replicate(unit) for unit in units]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
+        return list(pool.map(replicate, units, chunksize=max(1, len(units) // (4 * jobs))))
 
 
 @dataclass(frozen=True)
@@ -285,6 +371,18 @@ def _family_aggregate(
     )
 
 
+def ensemble_replications(cfg: EnsembleConfig, order: int, jobs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pattern counts (reps, D!) and test p-values (reps, 2D+3) of every replication, in index order.
+
+    The blocks of :func:`fgn_blocks` are the work units of
+    :func:`run_replications`.
+    """
+    base = cfg.base
+    replicate = FgnReplications(base.hurst, base.length, order, cfg.master_seed)
+    blocks = run_replications(replicate, fgn_blocks(base.length, cfg.replications), jobs)
+    return tuple(map(np.stack, zip(*(result for block in blocks for result in block))))
+
+
 def run_ensemble(cfg: EnsembleConfig, jobs: int = 1) -> SimulationReport:
     """Run the replicated experiment: generate, count patterns, test H1-H5.
 
@@ -301,8 +399,7 @@ def run_ensemble(cfg: EnsembleConfig, jobs: int = 1) -> SimulationReport:
     if weeks < 1:
         raise InvalidInputError("length too short for a single week window")
 
-    replicate = partial(fgn_replication, base.hurst, base.length, order, cfg.master_seed)
-    counts, p_values = map(np.stack, zip(*run_replications(replicate, reps, jobs)))
+    counts, p_values = ensemble_replications(cfg, order, jobs)
     rejections = tally_rejections(p_values)
 
     mean_counts = counts.sum(axis=0) / reps

@@ -215,6 +215,20 @@ def _binomial_pmf(weeks: int, p_e: float) -> np.ndarray:
     return pmf
 
 
+@lru_cache(maxsize=4096)
+def _binomial_p_value(weeks: int, p_e: float, count: float) -> float:
+    """Binomial(weeks, p_e) mass of the counts no likelier than ``count``.
+
+    Cached: the table scan is O(weeks), and the replications of a run see
+    the same few hundred family counts over and over.
+    """
+    # both sums commute, so at p_e = 1/2 the counts k and W - k get the same bits (order 2's H4 and H5)
+    log_likelihood = math.lgamma(weeks + 1) - (math.lgamma(count + 1) + math.lgamma(weeks - count + 1))
+    log_likelihood += count * math.log(p_e) + (weeks - count) * math.log(1.0 - p_e)
+    pmf = _binomial_pmf(weeks, p_e)
+    return min(1.0, float(pmf[pmf <= math.exp(log_likelihood) * (1.0 + 1e-7)].sum()))
+
+
 def binomial_test(p_e: float, count: float, weeks: int, payload: dict | None = None) -> TestOutcome:
     """Two-sided exact binomial test of a family ``count`` over ``weeks`` weeks.
 
@@ -234,11 +248,7 @@ def binomial_test(p_e: float, count: float, weeks: int, payload: dict | None = N
     payload = dict(payload or {}, p_e=float(p_e), p_o=float(p_o), weeks=int(weeks))
     z = ((p_e - p_o) / math.sqrt(p_o * (1.0 - p_o) / weeks) if 0.0 < p_o < 1.0
          else math.copysign(math.inf, p_e - p_o))
-    # both sums commute, so at p_e = 1/2 the counts k and W - k get the same bits (order 2's H4 and H5)
-    log_likelihood = math.lgamma(weeks + 1) - (math.lgamma(count + 1) + math.lgamma(weeks - count + 1))
-    log_likelihood += count * math.log(p_e) + (weeks - count) * math.log(1.0 - p_e)
-    pmf = _binomial_pmf(int(weeks), float(p_e))
-    p_value = min(1.0, float(pmf[pmf <= math.exp(log_likelihood) * (1.0 + 1e-7)].sum()))
+    p_value = _binomial_p_value(int(weeks), float(p_e), float(count))
     return TestOutcome.from_p(z, None, p_value, payload)
 
 

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -10,8 +12,11 @@ from ordinal_seasonality.fgn import (
     EnsembleConfig,
     FgnConfig,
     _fgn_circulant,
+    _p_values,
     by_test,
+    ensemble_replications,
     fgn_autocovariance,
+    fgn_blocks,
     fgn_generate,
     fgn_replication,
     replication_rng,
@@ -236,6 +241,35 @@ def test_ensemble_shape_and_payload():
         assert [r.at_10, r.at_05, r.at_01] == [int((column < a).sum()) for a in SIGNIFICANCE_LEVELS]
 
 
+@pytest.mark.parametrize(("length", "reps", "sizes"), [(10_000, 13, [6, 6, 1]), (70_000, 3, [1, 1, 1])])
+def test_blocked_replications_equal_single_ones_under_any_jobs(length, reps, sizes):
+    assert [len(block) for block in fgn_blocks(length, reps)] == sizes
+    assert [i for block in fgn_blocks(length, reps) for i in block] == list(range(reps))
+    cfg = _small_ensemble(0.7, reps=reps, length=length, seed=31)
+    singles = [fgn_replication(0.7, length, 5, 31, index) for index in range(reps)]
+    reports = []
+    for jobs in (1, 2, 3):
+        counts, p_values = ensemble_replications(cfg, 5, jobs)
+        assert counts.shape == (reps, 120) and p_values.shape == (reps, 13)
+        for index, (single_counts, single_p_values) in enumerate(singles):
+            assert np.array_equal(counts[index], single_counts), (jobs, index)
+            assert p_values[index].tobytes() == single_p_values.tobytes(), (jobs, index)
+        reports.append(run_ensemble(cfg, jobs=jobs))
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_ensemble_memory_stays_near_one_block():
+    # a block's spectrum and transform are about 1 MiB each at n = 10,000
+    cfg = EnsembleConfig(base=FgnConfig(hurst=0.5, length=10_000), replications=50, master_seed=2)
+    tracemalloc.start()
+    try:
+        run_ensemble(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000, peak
+
+
 def test_ensemble_rejection_rate_minimal_at_half():
     rates = {}
     for hurst in (0.2, 0.5, 0.8):
@@ -300,6 +334,25 @@ def test_by_test_reads_the_replication_layout(order):
     assert by_test(_tests_on(values, order)) == expected
 
 
+def _body_input(source: str, order: int) -> np.ndarray:
+    if source == "sparse":  # about D!/2 windows, so at least half the patterns are never seen
+        windows = (math.factorial(order) + 1) // 2
+        return np.random.default_rng(order).standard_normal(windows * order)
+    return _shuffle_input(source)
+
+
+@pytest.mark.parametrize("source", ["tie-free", "ties", "sparse"])
+@pytest.mark.parametrize("order", range(2, 9))
+def test_p_values_body_equals_the_public_tests_bit_for_bit(source, order):
+    values = _body_input(source, order)
+    dist = count_patterns(values, order=order)
+    assert (dist.ties_observed > 0) == (source == "ties")
+    if source == "sparse":
+        assert dist.windows < math.factorial(order)
+    expected = np.array(_tests_on(values, order))
+    assert _p_values(dist).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("source", ["tie-free", "ties"])
 def test_shuffle_replication_tests_the_permutation_of_its_stream(source):
     values = _shuffle_input(source)
@@ -329,7 +382,7 @@ def test_family_rejections_of_untied_shuffles_match_the_exact_binomial_size():
     # i.i.d. uniform, so H4 counts Binomial(W, 1/5) and H5 Binomial(W, 1/20)
     values = np.random.default_rng(3).standard_normal(2000)
     weeks, reps = 400, 400
-    p_values = np.stack(run_replications(partial(shuffle_replication, values, 5, 11), reps, 1))
+    p_values = np.stack(run_replications(partial(shuffle_replication, values, 5, 11), range(reps), 1))
     h4, h5 = tally_rejections(p_values)[-2:]
     for rejections, p_e in ((h4, 1 / 5), (h5, 1 / 20)):
         size = _exact_size(p_e, weeks, 0.05)

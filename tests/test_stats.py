@@ -16,6 +16,7 @@ import ordinal_seasonality
 from ordinal_seasonality.errors import InvalidInputError
 from ordinal_seasonality.patterns import PatternDistribution, PatternFamily, family_share, pattern_family
 from ordinal_seasonality.stats import (
+    _binomial_p_value,
     binomial_test,
     chi2_sf,
     chi2_statistic,
@@ -238,6 +239,19 @@ def test_binomial_p_value_matches_binomtest():
         if reference > 1e-250:
             p_value = binomial_test(p_e, count, weeks).p_value
             assert p_value == pytest.approx(reference, rel=1e-11, abs=0.0), (p_e, count, weeks)
+
+
+def test_binomial_p_value_cache_keys_on_weeks_share_and_count():
+    # cached per (weeks, p_e, count): equal counts given as int, float or int64 share an entry
+    uncached = _binomial_p_value.__wrapped__
+    _binomial_p_value.cache_clear()
+    for weeks in (1, 400, 2710):
+        for count in range(0, weeks + 1, max(1, weeks // 50)):
+            for p_e in (1 / 5, 1 / 20):
+                expected = uncached(weeks, p_e, float(count))
+                for given in (count, float(count), np.int64(count)):
+                    assert binomial_test(p_e, given, weeks).p_value == expected, (weeks, p_e, given)
+    assert _binomial_p_value.cache_info().hits > 0
 
 
 def test_binomial_mean_count_lies_between_its_neighbours():
