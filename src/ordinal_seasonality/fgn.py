@@ -17,20 +17,25 @@ transform along the rows serves them all.  A single draw is a block of
 one, so there is one sampler.
 
 One engine, :func:`run_replications`, repeats the five seasonality tests
-over seeded replications, serially or on a process pool.  It drives both
-the fGn experiment (:func:`run_ensemble`, the ``simulate`` command), in
-blocks of at most 1 MiB of spectrum (:func:`fgn_blocks`), and the
-shuffled-surrogate experiment (:func:`shuffle_replication`, the ``shuffle``
-command), one replication per unit.  Both read only the p-values of the
-2D+3 tests (:func:`_p_values`).
+over seeded replications, serially or on a process pool of at most one
+worker per available CPU.  It drives both the fGn experiment
+(:func:`run_ensemble`, the ``simulate`` command), one contiguous share of
+replications per worker, each share one :func:`fgn_replications` call
+drawing blocks of at most 1 MiB of spectrum in a workspace of its own,
+and the shuffled-surrogate experiment (:func:`shuffle_replication`, the
+``shuffle`` command), one replication per unit.  Both read only the
+p-values of the 2D+3 tests (:func:`_p_values`).
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,6 +63,9 @@ from .stats import (
     test_h4_monday_largest,
     test_h5_monday_worst_friday_best,
 )
+
+log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class FgnConfig:
@@ -134,16 +142,18 @@ def _fgn_block(
 ) -> np.ndarray:
     """One fGn draw per generator: a (len(rngs), n) array, row r from ``rngs[r]``.
 
-    ``spectrum`` and ``normals`` are the workspace of :func:`_workspace`;
-    only the first len(rngs) rows of the spectrum are written.  Each
-    generator reads 2n standard normals into ``normals``: the first n+1 are
-    the real parts of frequencies 0..n, the last n-1 the imaginary parts of
-    frequencies 1..n-1.  Its row holds the conjugate of that spectrum,
-    scaled, and one ``np.fft.irfft`` with ``norm="forward"`` transforms
-    every row.  That is what ``np.fft.hfft`` does after conjugating a copy
-    of its input, so the draws equal ``hfft`` of the spectrum bit for bit,
-    without the copy.  A row transforms and scales as it would alone, so a
-    draw does not depend on the block it is drawn in.
+    ``spectrum`` and ``normals`` are the workspace: a zeroed complex (B, n+1)
+    array with B >= len(rngs), whose imaginary parts at frequencies 0 and n
+    stay zero, and a buffer of 2n floats.  Only the first len(rngs) rows of
+    the spectrum are written.  Each generator reads 2n standard normals into
+    ``normals``: the first n+1 are the real parts of frequencies 0..n, the
+    last n-1 the imaginary parts of frequencies 1..n-1.  Its row holds the
+    conjugate of that spectrum, scaled, and one ``np.fft.irfft`` with
+    ``norm="forward"`` transforms every row.  That is what ``np.fft.hfft``
+    does after conjugating a copy of its input, so the draws equal ``hfft``
+    of the spectrum bit for bit, without the copy.  A row transforms and
+    scales as it would alone, so a draw does not depend on the block it is
+    drawn in.
     """
     n = spectrum.shape[1] - 1
     block = spectrum[: len(rngs)]
@@ -155,25 +165,12 @@ def _fgn_block(
     return np.fft.irfft(block, 2 * n, axis=-1, norm="forward")[:, :n]
 
 
-def _workspace(rows: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """The workspace of :func:`_fgn_block` for blocks of up to ``rows`` draws.
-
-    A zeroed complex (rows, n+1) spectrum, whose imaginary parts at
-    frequencies 0 and n stay zero, and a buffer of 2n normals.
-    """
-    return np.zeros((rows, length + 1), dtype=complex), np.empty(2 * length)
-
-
-def _fgn_circulant(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
-    """One fGn draw: a block of one."""
-    return _fgn_block(*_workspace(1, length), hurst, [rng])[0]
-
-
 def fgn_generate(cfg: FgnConfig) -> ReturnSeries:
     """Generate one fGn sample by circulant embedding; deterministic for a given config."""
     if cfg.seed is None:
         raise InvalidInputError("fgn_generate requires an explicit seed")
-    values = _fgn_circulant(cfg.length, cfg.hurst, np.random.default_rng(cfg.seed))
+    spectrum, normals = np.zeros((1, cfg.length + 1), dtype=complex), np.empty(2 * cfg.length)
+    values = _fgn_block(spectrum, normals, cfg.hurst, [np.random.default_rng(cfg.seed)])[0]
     return ReturnSeries(values=values, label=f"fgn(H={cfg.hurst:g}, n={cfg.length}, circulant)")
 
 
@@ -212,40 +209,39 @@ def _p_values(dist: PatternDistribution) -> np.ndarray:
     ])
 
 
-class FgnReplications:
-    """Pattern counts and test p-values of fGn replications, one block of indices per call.
+# the most bytes of complex spectrum one block of fGn draws holds
+_BLOCK_BYTES = 2**20
 
-    Each call draws its block with :func:`_fgn_block`, each sample from its
-    own :func:`replication_rng` stream, so a replication's result does not
-    depend on the block it is drawn in.  The workspace (spectrum and
-    normals buffer) is made on the first call and kept for the next ones.
-    Made afresh per block and freed with the block's transform, it left
-    about 2 MiB free at the top of the heap after every block; glibc
-    returned that to the system and the next block faulted it back in,
-    page by page.  A pool worker unpickles its own copy per batch of
-    blocks, before any workspace exists.
+
+def _block_draws(length: int) -> int:
+    """Draws per block whose (B, n+1) complex spectrum holds at most 1 MiB; one from n = 65,536 up."""
+    return max(1, _BLOCK_BYTES // (16 * (length + 1)))
+
+
+def fgn_replications(
+    hurst: float, length: int, order: int, master_seed: int, indices: Sequence[int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pattern counts and test p-values of the fGn samples of ``indices``, in order.
+
+    Draws B = min(len(indices), :func:`_block_draws`) consecutive indices at
+    a time with :func:`_fgn_block`, in one workspace per call.  A 1 MiB
+    block (6 draws at n = 10,000) ran ``simulate`` fastest: blocks of one or
+    three draws took over 20% longer, 2-4 MiB ones gained nothing while peak
+    memory grew 7-21%, and a workspace made afresh per block let glibc hand
+    about 2 MiB back to the system and fault it in again.  A block's rows
+    are used up in a comprehension, so no row keeps its transform alive
+    while the next block is drawn.  Each sample has its own
+    :func:`replication_rng` stream and transforms as it would alone, so no
+    result depends on how the indices are split into calls or blocks.
     """
-
-    def __init__(self, hurst: float, length: int, order: int, master_seed: int):
-        self.hurst, self.length, self.order, self.master_seed = hurst, length, order, master_seed
-        self._workspace: tuple[np.ndarray, np.ndarray] | None = None
-
-    def __call__(self, indices: range) -> list[tuple[np.ndarray, np.ndarray]]:
-        if self._workspace is None or len(self._workspace[0]) < len(indices):
-            self._workspace = _workspace(len(indices), self.length)
-        rngs = [replication_rng(self.master_seed, index) for index in indices]
-        results = []
-        for values in _fgn_block(*self._workspace, self.hurst, rngs):
-            dist = count_patterns(values, order=self.order)
-            results.append((dist.counts, _p_values(dist)))
-        return results
-
-
-def fgn_replication(
-    hurst: float, length: int, order: int, master_seed: int, index: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pattern counts and test p-values of the fGn sample of replication ``index``, a block of one."""
-    return FgnReplications(hurst, length, order, master_seed)(range(index, index + 1))[0]
+    size = min(len(indices), _block_draws(length))
+    spectrum, normals = np.zeros((size, length + 1), dtype=complex), np.empty(2 * length)
+    results = []
+    for start in range(0, len(indices), size):
+        rngs = [replication_rng(master_seed, index) for index in indices[start : start + size]]
+        dists = [count_patterns(values, order=order) for values in _fgn_block(spectrum, normals, hurst, rngs)]
+        results += [(dist.counts, _p_values(dist)) for dist in dists]
+    return results
 
 
 def shuffle_replication(values: np.ndarray, order: int, master_seed: int, index: int) -> np.ndarray:
@@ -256,36 +252,27 @@ def shuffle_replication(values: np.ndarray, order: int, master_seed: int, index:
     return _p_values(count_patterns(shuffled, order=order))
 
 
-# the most bytes of complex spectrum one block of fGn draws holds
-_BLOCK_BYTES = 2**20
-
-
-def fgn_blocks(length: int, reps: int) -> list[range]:
-    """Consecutive replication indices ``0..reps-1`` in blocks of B draws of ``length`` points.
-
-    B = max(1, min(reps, 2**20 // (16 (n+1)))): one block's (B, n+1)
-    complex spectrum, and so its (B, 2n) transform, holds at most 1 MiB (6
-    draws at n = 10,000, one draw from n = 65,536 up).  At n = 10,000 that
-    budget ran ``simulate`` fastest: blocks of one or three draws took over
-    20% longer, and blocks of 2 or 4 MiB gained nothing while peak memory
-    grew by 7% or 21%.  The blocks depend only on the length and ``reps``.
-    """
-    size = max(1, min(reps, _BLOCK_BYTES // (16 * (length + 1))))
-    return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
+def _available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_replications(replicate: Callable, units: Sequence, jobs: int) -> list:
     """Run ``replicate(unit)`` for every work unit, serially or on a process pool.
 
-    A unit is a replication index (``shuffle``) or a block of consecutive
-    indices from :func:`fgn_blocks` (``simulate``).  A shuffle is a
-    permutation with no transform to share, so a block of them would save
-    nothing, and ``shuffle`` keeps one replication per unit.  ``replicate``
-    must pickle for ``jobs > 1``: a module-level replication function bound
-    with :func:`functools.partial`, or a :class:`FgnReplications`.  Returns
-    the results in unit order.  Each replication seeds itself from its
-    index, the units never depend on ``jobs``, and ``Executor.map`` yields
-    results in input order, so the output does not depend on ``jobs``.
+    A unit is a replication index (``shuffle``) or a contiguous share of
+    indices for one :func:`fgn_replications` call, one share per worker
+    (``simulate``).  A shuffle is a permutation with no transform to share,
+    so a share of them would save nothing, and ``shuffle`` keeps one
+    replication per unit.  ``replicate`` must pickle for ``jobs > 1``: a
+    module-level replication function bound with :func:`functools.partial`.
+    The pool starts min(jobs, units, CPUs) workers, so never more than one
+    per CPU this process may run on.  Returns the results in unit order.
+    Each replication seeds itself from its index and does not depend on
+    the unit it is drawn in, and ``Executor.map`` yields results in input
+    order, so the output does not depend on ``jobs``.
     """
     if len(units) < 1:
         raise InvalidInputError("replications must be >= 1")
@@ -293,8 +280,12 @@ def run_replications(replicate: Callable, units: Sequence, jobs: int) -> list:
         raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(units) == 1:
         return [replicate(unit) for unit in units]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
-        return list(pool.map(replicate, units, chunksize=max(1, len(units) // (4 * jobs))))
+    cpus = _available_cpus()
+    if jobs > cpus:
+        log.info("jobs %d: at most %d pool workers, one per CPU this process may run on", jobs, cpus)
+    workers = min(jobs, len(units), cpus)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(replicate, units, chunksize=max(1, len(units) // (4 * workers))))
 
 
 @dataclass(frozen=True)
@@ -371,18 +362,6 @@ def _family_aggregate(
     )
 
 
-def ensemble_replications(cfg: EnsembleConfig, order: int, jobs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pattern counts (reps, D!) and test p-values (reps, 2D+3) of every replication, in index order.
-
-    The blocks of :func:`fgn_blocks` are the work units of
-    :func:`run_replications`.
-    """
-    base = cfg.base
-    replicate = FgnReplications(base.hurst, base.length, order, cfg.master_seed)
-    blocks = run_replications(replicate, fgn_blocks(base.length, cfg.replications), jobs)
-    return tuple(map(np.stack, zip(*(result for block in blocks for result in block))))
-
-
 def run_ensemble(cfg: EnsembleConfig, jobs: int = 1) -> SimulationReport:
     """Run the replicated experiment: generate, count patterns, test H1-H5.
 
@@ -399,7 +378,15 @@ def run_ensemble(cfg: EnsembleConfig, jobs: int = 1) -> SimulationReport:
     if weeks < 1:
         raise InvalidInputError("length too short for a single week window")
 
-    counts, p_values = ensemble_replications(cfg, order, jobs)
+    # one contiguous share of whole blocks per worker the pool would start
+    size = _block_draws(base.length)
+    blocks = math.ceil(reps / size)
+    workers = max(1, min(jobs, blocks, _available_cpus()))
+    bounds = [min(reps, blocks * k // workers * size) for k in range(workers + 1)]
+    shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    replicate = partial(fgn_replications, base.hurst, base.length, order, cfg.master_seed)
+    results = chain.from_iterable(run_replications(replicate, shares, jobs))
+    counts, p_values = map(np.stack, zip(*results))
     rejections = tally_rejections(p_values)
 
     mean_counts = counts.sum(axis=0) / reps

@@ -1,4 +1,6 @@
+import logging
 import math
+import os
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -7,18 +9,18 @@ import numpy as np
 import pytest
 from scipy.stats import binom, ks_2samp
 
+from ordinal_seasonality import fgn
 from ordinal_seasonality.errors import InvalidInputError
 from ordinal_seasonality.fgn import (
     EnsembleConfig,
     FgnConfig,
-    _fgn_circulant,
+    _available_cpus,
+    _fgn_block,
     _p_values,
     by_test,
-    ensemble_replications,
     fgn_autocovariance,
-    fgn_blocks,
     fgn_generate,
-    fgn_replication,
+    fgn_replications,
     replication_rng,
     run_ensemble,
     run_replications,
@@ -41,6 +43,11 @@ def _sample_autocov(x: np.ndarray, lag: int) -> float:
     if lag == 0:
         return float((x * x).mean())
     return float((x[:-lag] * x[lag:]).mean())
+
+
+def _draw(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
+    """One fGn draw: a block of one in a fresh one-row workspace."""
+    return _fgn_block(np.zeros((1, length + 1), dtype=complex), np.empty(2 * length), hurst, [rng])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +92,7 @@ def test_near_unit_hurst_at_a_million_uses_circulant():
 @pytest.mark.parametrize("hurst", [0.01, 0.1, 0.5, 0.9, 0.99, 0.999])
 def test_draw_matches_full_spectrum_oracle(hurst, length):
     for seed in range(3):
-        got = _fgn_circulant(length, hurst, np.random.default_rng(seed))
+        got = _draw(length, hurst, np.random.default_rng(seed))
         expected = fgn_circulant_full_spectrum(length, hurst, np.random.default_rng(seed))
         assert np.abs(got - expected).max() <= 1e-12
 
@@ -93,7 +100,7 @@ def test_draw_matches_full_spectrum_oracle(hurst, length):
 @pytest.mark.parametrize("length", [2, 3, 4097])
 def test_draw_consumes_two_blocks_of_n_normals(length):
     rng, reference = np.random.default_rng(6), np.random.default_rng(6)
-    _fgn_circulant(length, 0.7, rng)
+    _draw(length, 0.7, rng)
     reference.standard_normal(length)
     reference.standard_normal(length)
     assert rng.standard_normal() == reference.standard_normal()
@@ -193,7 +200,7 @@ def test_fbm_variance_growth_exponent():
     paths = np.empty((reps, length))
     for r in range(reps):
         rng = replication_rng(99, r)
-        paths[r] = np.cumsum(_fgn_circulant(length, hurst, rng))
+        paths[r] = np.cumsum(_draw(length, hurst, rng))
     times = np.unique(np.geomspace(10, length, 12).astype(int))
     var = paths[:, times - 1].var(axis=0)
     slope = np.polyfit(np.log(times), np.log(var), 1)[0]
@@ -233,7 +240,7 @@ def test_ensemble_shape_and_payload():
     assert [line.averaged.observed["day"] for line in report.h2] == list(range(5))
     assert [line.averaged.observed["position"] for line in report.h3] == list(range(5))
     # recount: each line rejects in as many replications as its column has p-values below each level
-    p_values = np.array([fgn_replication(0.5, 1500, 5, 77, index)[1] for index in range(12)])
+    p_values = np.array([p for _, p in fgn_replications(0.5, 1500, 5, 77, range(12))])
     lines = [report.h1, *report.h2, *report.h3, report.h4, report.h5]
     assert len(lines) == p_values.shape[1]
     for line, column in zip(lines, p_values.T):
@@ -242,20 +249,31 @@ def test_ensemble_shape_and_payload():
 
 
 @pytest.mark.parametrize(("length", "reps", "sizes"), [(10_000, 13, [6, 6, 1]), (70_000, 3, [1, 1, 1])])
-def test_blocked_replications_equal_single_ones_under_any_jobs(length, reps, sizes):
-    assert [len(block) for block in fgn_blocks(length, reps)] == sizes
-    assert [i for block in fgn_blocks(length, reps) for i in block] == list(range(reps))
+def test_blocked_replications_equal_single_ones_under_any_jobs(length, reps, sizes, monkeypatch):
     cfg = _small_ensemble(0.7, reps=reps, length=length, seed=31)
-    singles = [fgn_replication(0.7, length, 5, 31, index) for index in range(reps)]
-    reports = []
-    for jobs in (1, 2, 3):
-        counts, p_values = ensemble_replications(cfg, 5, jobs)
-        assert counts.shape == (reps, 120) and p_values.shape == (reps, 13)
-        for index, (single_counts, single_p_values) in enumerate(singles):
-            assert np.array_equal(counts[index], single_counts), (jobs, index)
-            assert p_values[index].tobytes() == single_p_values.tobytes(), (jobs, index)
-        reports.append(run_ensemble(cfg, jobs=jobs))
+    reports = [run_ensemble(cfg, jobs=jobs) for jobs in (1, 2, 3)]
     assert reports[0] == reports[1] == reports[2]
+
+    drawn = []
+
+    def recording_block(spectrum, normals, hurst, rngs):
+        drawn.append(len(rngs))
+        return _fgn_block(spectrum, normals, hurst, rngs)
+
+    monkeypatch.setattr(fgn, "_fgn_block", recording_block)
+    replicate = partial(fgn_replications, 0.7, length, 5, 31)
+    replicate(range(reps))
+    assert drawn == sizes
+    # a replication does not depend on how its indices are split into calls,
+    # at n = 10,000 even where the split falls inside a block of 6
+    whole = replicate(range(13))
+    split = replicate(range(4)) + replicate(range(4, 13))
+    assert drawn[len(sizes) :] == ([6, 6, 1, 4, 6, 3] if length == 10_000 else [1] * 26)
+    assert len(whole) == len(split) == 13
+    for index, ((counts, p_values), (split_counts, split_p_values)) in enumerate(zip(whole, split)):
+        assert counts.shape == (120,) and p_values.shape == (13,)
+        assert counts.tobytes() == split_counts.tobytes(), index
+        assert p_values.tobytes() == split_p_values.tobytes(), index
 
 
 def test_ensemble_memory_stays_near_one_block():
@@ -268,6 +286,97 @@ def test_ensemble_memory_stays_near_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 5_000_000, peak
+
+
+def test_drawing_many_blocks_holds_no_more_memory_than_one():
+    # each block's transform, and every row view of it, is released before
+    # the next block is drawn; 44 more results hold about 0.06 MB
+    replicate = partial(fgn_replications, 0.5, 10_000, 5, 2)
+    replicate(range(50))  # warm: the scale and the binomial tails are cached
+    peaks = {}
+    for reps in (50, 6):
+        tracemalloc.start()
+        try:
+            replicate(range(reps))
+            peaks[reps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[50] - peaks[6] < 300_000, peaks
+
+
+class _RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records its size and units and maps in this process."""
+
+    def __init__(self, pools: list, max_workers: int):
+        self.max_workers = max_workers
+        self.units = None
+        pools.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, units, chunksize=1):
+        self.units = list(units)
+        return map(fn, self.units)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The pools run_replications starts, on a stand-in two-CPU machine."""
+    made = []
+    monkeypatch.setattr(fgn, "ProcessPoolExecutor", partial(_RecordingPool, made))
+    monkeypatch.setattr(fgn, "_available_cpus", lambda: 2)
+    return made
+
+
+def test_available_cpus_reads_the_affinity_mask():
+    expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert _available_cpus() == expected >= 1
+
+
+def test_pool_starts_at_most_one_worker_per_available_cpu(pools, caplog):
+    with caplog.at_level(logging.INFO, logger="ordinal_seasonality.fgn"):
+        assert run_replications(str, range(1000), 1000) == [str(i) for i in range(1000)]
+        assert [pool.max_workers for pool in pools] == [2]
+        assert [record.getMessage() for record in caplog.records] == [
+            "jobs 1000: at most 2 pool workers, one per CPU this process may run on"
+        ]
+        caplog.clear()
+        # at most jobs and at most the units; only a cap by the CPUs is logged
+        assert run_replications(str, range(12), 2) == [str(i) for i in range(12)]
+        assert run_replications(str, range(3), 3) == ["0", "1", "2"]
+        assert run_replications(str, range(1), 3) == ["0"]  # one unit runs in this process
+        assert run_replications(str, range(5), 1) == [str(i) for i in range(5)]
+        assert [pool.max_workers for pool in pools] == [2, 2, 2]
+        assert [record.getMessage() for record in caplog.records] == [
+            "jobs 3: at most 2 pool workers, one per CPU this process may run on"
+        ]
+
+
+def test_ensemble_draws_one_share_of_whole_blocks_per_worker(pools, monkeypatch):
+    cfg = _small_ensemble(0.7, reps=13, length=10_000, seed=31)
+    calls = []
+
+    def recording_replications(*args):
+        calls.append(args[-1])
+        return fgn_replications(*args)
+
+    monkeypatch.setattr(fgn, "fgn_replications", recording_replications)
+    serial = run_ensemble(cfg, jobs=1)
+    assert pools == [] and calls == [range(0, 13)]  # one share, so one call
+    # jobs above the CPUs neither starts extra workers nor cuts a block of 6 short
+    assert run_ensemble(cfg, jobs=1000) == serial
+    assert [pool.max_workers for pool in pools] == [2]
+    assert pools[0].units == calls[1:] == [range(0, 6), range(6, 13)]
+    monkeypatch.setattr(fgn, "_available_cpus", lambda: 8)
+    assert run_ensemble(cfg, jobs=1000) == serial
+    assert pools[1].max_workers == 3 and pools[1].units == [range(0, 6), range(6, 12), range(12, 13)]
+    monkeypatch.setattr(fgn, "_available_cpus", lambda: 1)
+    assert run_ensemble(cfg, jobs=2) == serial
+    assert len(pools) == 2 and calls[-1] == range(0, 13)  # one CPU: one share, run in this process
 
 
 def test_ensemble_rejection_rate_minimal_at_half():
