@@ -65,7 +65,7 @@ from .stats import (
 
 log = logging.getLogger(__name__)
 
-# OSError: missing, unreadable or directory paths, corrupt gzip
+# OSError: missing, unreadable or directory paths, a .gz that is not gzip
 _INPUT_ERRORS = (InvalidInputError, OSError, UnicodeDecodeError)
 
 
@@ -204,54 +204,41 @@ def _emit_table(table, pad: str, out: list[str], chunks: list[str]) -> None:
 def _emit(obj, pad: str, out: list[str], chunks: list[str]) -> None:
     """Append the JSON text of ``obj`` to ``out``; recurses into containers only.
 
-    Each item goes in with its separator in front.  After each item of a
-    container, a buffer of more than ``_CHUNK_FRAGMENTS`` fragments is
-    joined onto ``chunks`` and cleared.  Tables go to :func:`_emit_table`.
+    A container's items are ``(head, value)`` pairs: the indent and encoded
+    key of a dict entry, the indent alone for a list or tuple item.  Each
+    item goes in with its separator in front.  After each item, a buffer of
+    more than ``_CHUNK_FRAGMENTS`` fragments is joined onto ``chunks`` and
+    cleared.  Tables go to :func:`_emit_table`.
     """
+    inner = pad + "  "
     if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        sep = "{\n"
-        for key, value in obj.items():
-            if type(key) is not str:
-                key = str(key)
-            head = f"{inner}{_encode_string(key)}: "
-            plain = _JSON_PLAIN.get(type(value))
-            if plain is not None:
-                out.append(f"{sep}{head}{plain(value)}")
-            else:
-                out.append(sep + head)
-                _emit(value, inner, out, chunks)
-            sep = ",\n"
-            if len(out) > _CHUNK_FRAGMENTS:
-                chunks.append("".join(out))
-                out.clear()
-        out.append(f"\n{pad}}}")
+        braces = "{}"
+        items = ((f"{inner}{_encode_string(str(key))}: ", value) for key, value in obj.items())
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        sep = f"[\n{inner}"
-        comma = f",\n{inner}"
-        for value in obj:
-            plain = _JSON_PLAIN.get(type(value))
-            if plain is not None:
-                out.append(sep + plain(value))
-            else:
-                out.append(sep)
-                _emit(value, inner, out, chunks)
-            sep = comma
-            if len(out) > _CHUNK_FRAGMENTS:
-                chunks.append("".join(out))
-                out.clear()
-        out.append(f"\n{pad}]")
+        braces = "[]"
+        items = zip(repeat(inner), obj)
     elif isinstance(obj, np.ndarray):
         _emit_table(obj, pad, out, chunks)
+        return
     else:
         out.append(_scalar(obj, _JSON_PLAIN))
+        return
+    if not obj:
+        out.append(braces)
+        return
+    sep = braces[0] + "\n"
+    for head, value in items:
+        plain = _JSON_PLAIN.get(type(value))
+        if plain is not None:
+            out.append(f"{sep}{head}{plain(value)}")
+        else:
+            out.append(sep + head)
+            _emit(value, inner, out, chunks)
+        sep = ",\n"
+        if len(out) > _CHUNK_FRAGMENTS:
+            chunks.append("".join(out))
+            out.clear()
+    out.append(f"\n{pad}{braces[1]}")
 
 
 def dumps(obj) -> str:
@@ -386,12 +373,8 @@ def _record(obj):
 def _load_series(args) -> ReturnSeries:
     if (args.column is None) == (args.price_column is None):
         raise InvalidInputError("exactly one of --column and --price-column is required")
-    series = load_csv(
-        args.input,
-        date_column=args.date_column,
-        price_column=args.price_column,
-        return_column=args.column,
-    )
+    column = args.column if args.price_column is None else args.price_column
+    series = load_csv(args.input, column=column, date_column=args.date_column)
     if args.price_column is not None:
         series = log_returns(series)
     return series

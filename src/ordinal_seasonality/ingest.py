@@ -9,6 +9,7 @@ import io
 import math
 import os
 import warnings
+import zlib
 from dataclasses import dataclass
 from datetime import date
 from functools import partial
@@ -123,9 +124,9 @@ def _load_bulk(path: Path, value_column: str, date_column: str | None):
 
     The header is read with :mod:`csv`; numpy then reads the data rows from
     the path itself, which it parses in C chunks rather than line by line.
-    Any parse error, short row, non-finite value, date not exactly
-    ``YYYY-MM-DD``, order break, NUL byte or header over more than one line
-    gives None, as does a suffix numpy would decompress.
+    Any parse or decompression error, short row, non-finite value, date not
+    exactly ``YYYY-MM-DD``, order break or NUL byte gives None, as does a
+    suffix numpy would decompress.
     """
     if path.suffix in _NUMPY_DECOMPRESSED:
         return None
@@ -135,8 +136,6 @@ def _load_bulk(path: Path, value_column: str, date_column: str | None):
         with _open_text(path) as handle:
             reader = csv.reader(handle)
             _, vcol, dcol = _read_header(reader, path, value_column, date_column)
-            if reader.line_num != 1:  # skiprows counts lines, not records
-                return None
         fields = [("value", "f8")] + ([("date", f"S{_ISO_WIDTH}")] if dcol is not None else [])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # numpy warns about a file with no data rows
@@ -147,11 +146,11 @@ def _load_bulk(path: Path, value_column: str, date_column: str | None):
                 usecols=(vcol,) if dcol is None else (vcol, dcol),
                 comments=None,
                 quotechar='"',
-                skiprows=1,
+                skiprows=reader.line_num,  # lines, not records: a quoted header field may hold newlines
                 encoding="utf-8-sig",
                 ndmin=1,
             )
-    except (ValueError, OSError, EOFError):
+    except (ValueError, OSError, EOFError, csv.Error, zlib.error):
         return None
     values = table["value"].copy()
     if values.size == 0 or not np.isfinite(values).all():
@@ -166,66 +165,66 @@ def _load_bulk(path: Path, value_column: str, date_column: str | None):
 
 
 def _load_rows(path: Path, value_column: str, date_column: str | None):
-    """The reference row loop: values and dates, or an error naming the row."""
+    """The reference row loop: values and dates, or an error naming the row.
+
+    A :mod:`csv` error names the data row or the header, and a broken gzip
+    stream names the file.
+    """
     values: list[float] = []
     dates: list[date] = []
-    with _open_text(path) as handle:
-        reader = csv.reader(handle)
-        header, vcol, dcol = _read_header(reader, path, value_column, date_column)
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) <= vcol or (dcol is not None and len(row) <= dcol):
-                raise InvalidInputError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
-            cell = row[vcol].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                raise InvalidInputError(f"row {row_no}: unparseable value {cell!r}") from None
-            if not math.isfinite(value):
-                raise InvalidInputError(f"row {row_no}: non-finite value {cell!r}")
-            values.append(value)
-            if dcol is not None:
-                day = _parse_date(row[dcol], row_no)
-                if dates and day <= dates[-1]:
-                    raise InvalidInputError(f"row {row_no}: date {day} is not after {dates[-1]}")
-                dates.append(day)
+    header, row_no = None, 0
+    try:
+        with _open_text(path) as handle:
+            reader = csv.reader(handle)
+            header, vcol, dcol = _read_header(reader, path, value_column, date_column)
+            for row_no, row in enumerate(reader, start=1):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) <= vcol or (dcol is not None and len(row) <= dcol):
+                    raise InvalidInputError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
+                cell = row[vcol].strip()
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise InvalidInputError(f"row {row_no}: unparseable value {cell!r}") from None
+                if not math.isfinite(value):
+                    raise InvalidInputError(f"row {row_no}: non-finite value {cell!r}")
+                values.append(value)
+                if dcol is not None:
+                    day = _parse_date(row[dcol], row_no)
+                    if dates and day <= dates[-1]:
+                        raise InvalidInputError(f"row {row_no}: date {day} is not after {dates[-1]}")
+                    dates.append(day)
+    except csv.Error as exc:
+        where = f"row {row_no + 1}" if header is not None else f"{path}: header"
+        raise InvalidInputError(f"{where}: {exc}") from None
+    except (EOFError, zlib.error) as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
 
     if not values:
         raise InvalidInputError(f"{path}: no data rows")
     return np.asarray(values, dtype=float), (dates if date_column else None)
 
 
-def load_csv(
-    path,
-    date_column: str | None = None,
-    price_column: str | None = None,
-    return_column: str | None = None,
-) -> ReturnSeries:
-    """Load a value column (and optionally a date column) from a CSV file.
+def load_csv(path, column: str, date_column: str | None = None) -> ReturnSeries:
+    """Load the value column ``column`` (and optionally a date column) from a CSV file.
 
-    Exactly one of ``price_column`` and ``return_column`` selects the value
-    column; the loader does not convert prices to returns, use
-    :func:`log_returns` for that.  A ``.gz`` suffix selects transparent
-    gzip decompression, and a UTF-8 byte order mark is skipped.  Dates,
-    written ``YYYY-MM-DD``, become a ``datetime64[D]`` array; the label is
-    the file name.
+    The values are taken as they are: for prices, :func:`log_returns` gives
+    the returns.  A ``.gz`` suffix selects transparent gzip decompression,
+    and a UTF-8 byte order mark is skipped.  Dates, written ``YYYY-MM-DD``,
+    become a ``datetime64[D]`` array; the label is the file name.
 
     The columns are parsed in bulk.  When that fails, or a value is not
     finite, a date is not exactly ``YYYY-MM-DD``, the dates do not strictly
-    increase, the file holds a NUL character, the header spans more than
-    one line or the name ends in ``.bz2``, ``.xz`` or ``.lzma``, the file
-    is read row by row, which gives the same result or raises
-    :class:`~ordinal_seasonality.errors.InvalidInputError` naming the
-    1-based data row.
+    increase, the file holds a NUL character or the name ends in ``.bz2``,
+    ``.xz`` or ``.lzma``, the file is read row by row.  That gives the same
+    result, or raises :class:`~ordinal_seasonality.errors.InvalidInputError`
+    naming the 1-based data row (or the header, for a :mod:`csv` error
+    there); a broken gzip stream raises it naming the file.
     """
-    if (price_column is None) == (return_column is None):
-        raise InvalidInputError("exactly one of price_column and return_column is required")
-    value_column = price_column if price_column is not None else return_column
-
     path = Path(path)
-    loaded = _load_bulk(path, value_column, date_column)
-    values, dates = loaded or _load_rows(path, value_column, date_column)
+    loaded = _load_bulk(path, column, date_column)
+    values, dates = loaded or _load_rows(path, column, date_column)
     return ReturnSeries(values=values, dates=dates, label=path.name)
 
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gzip
 import io
 import json
 import math
@@ -752,19 +753,43 @@ def test_package_errors_exit_2(error, monkeypatch, returns_csv, capsys):
     assert capsys.readouterr().err == "error: synthetic input problem\n"
 
 
-@pytest.mark.parametrize("case", ["input-directory", "plain-text-gz", "invalid-utf8", "output-directory"])
+_FIELD_OVER_CSV_LIMIT = "x" * 200_000  # csv's default field_size_limit is 131,072
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "input-directory", "plain-text-gz", "invalid-utf8", "output-directory",
+        "truncated-gz", "corrupt-gz", "oversized-field", "oversized-header",
+    ],
+)
 def test_file_errors_exit_2_without_traceback(case, tmp_path, returns_csv, capsys):
     source, output = str(returns_csv), []
-    if case == "input-directory":
+    compressed = gzip.compress(returns_csv.read_bytes())
+    files = {
+        "plain-text-gz": ("returns.csv.gz", b"ret\n0.01\n0.02\n"),
+        "invalid-utf8": ("latin1.csv", b"ret\n0.01\n\xff\xfe0.02\n"),
+        "truncated-gz": ("truncated.csv.gz", compressed[: len(compressed) // 2]),
+        # a deflate block of the reserved type 3 after a valid gzip header
+        "corrupt-gz": ("corrupt.csv.gz", compressed[:10] + b"\xff" * 16),
+        "oversized-field": ("field.csv", f"ret\n0.1\n{_FIELD_OVER_CSV_LIMIT}\n0.2\n".encode()),
+        "oversized-header": ("header.csv", f"ret,{_FIELD_OVER_CSV_LIMIT}\n0.1\n0.2\n".encode()),
+    }
+    if case in files:
+        name, data = files[case]
+        source = str(tmp_path / name)
+        (tmp_path / name).write_bytes(data)
+    elif case == "input-directory":
         source = str(tmp_path)
-    elif case == "plain-text-gz":
-        source = str(tmp_path / "returns.csv.gz")
-        (tmp_path / "returns.csv.gz").write_text("ret\n0.01\n0.02\n", encoding="utf-8")
-    elif case == "invalid-utf8":
-        source = str(tmp_path / "latin1.csv")
-        (tmp_path / "latin1.csv").write_bytes(b"ret\n0.01\n\xff\xfe0.02\n")
     else:
         output = ["--output", str(tmp_path)]
     assert cli.main(["hurst", "--input", source, "--column", "ret", *output]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    named = {
+        "truncated-gz": "truncated.csv.gz: ",
+        "corrupt-gz": "corrupt.csv.gz: ",
+        "oversized-field": "error: row 2: field larger than field limit",
+        "oversized-header": "header.csv: header: field larger than field limit",
+    }
+    assert named.get(case, "") in err

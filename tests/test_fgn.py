@@ -420,7 +420,7 @@ def test_ensemble_h5_direction_by_persistence():
 def _shuffle_input(source: str) -> np.ndarray:
     if source == "ties":
         path = Path(__file__).parent / "goldens" / "ties.csv.gz"
-        return load_csv(path, return_column="ret").values
+        return load_csv(path, column="ret").values
     return np.random.default_rng(3).standard_normal(2000)
 
 

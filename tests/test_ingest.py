@@ -43,7 +43,7 @@ def test_load_price_csv(tmp_path):
         "2020-01-06,100\n2020-01-07,101\n2020-01-08,99\n"
         "2020-01-09,102\n2020-01-10,103\n2020-01-13,104\n",
     )
-    series = load_csv(path, date_column="date", price_column="close")
+    series = load_csv(path, date_column="date", column="close")
     assert len(series) == 6
     assert series.dates is not None and series.dates[0] == date(2020, 1, 6)
     returns = log_returns(series)
@@ -56,13 +56,13 @@ def test_load_blank_value_names_row(tmp_path):
         tmp_path, "gap.csv", "date,close\n2020-01-06,100\n2020-01-07,101\n2020-01-08,\n"
     )
     with pytest.raises(InvalidInputError, match="row 3"):
-        load_csv(path, date_column="date", price_column="close")
+        load_csv(path, date_column="date", column="close")
 
 
 def test_load_missing_column(tmp_path):
     path = _write(tmp_path, "cols.csv", "date,open\n2020-01-06,1\n")
     with pytest.raises(InvalidInputError, match="close"):
-        load_csv(path, date_column="date", price_column="close")
+        load_csv(path, date_column="date", column="close")
 
 
 def test_load_non_monotone_dates(tmp_path):
@@ -70,7 +70,7 @@ def test_load_non_monotone_dates(tmp_path):
         tmp_path, "dates.csv", "date,ret\n2020-01-07,0.1\n2020-01-06,0.2\n"
     )
     with pytest.raises(InvalidInputError, match=r"^row 2: date 2020-01-06 is not after 2020-01-07$"):
-        load_csv(path, date_column="date", return_column="ret")
+        load_csv(path, date_column="date", column="ret")
 
 
 @pytest.mark.parametrize("cell", ["20200107", "2020-W02-2"])
@@ -83,32 +83,34 @@ def test_dates_other_than_year_month_day_name_the_row(tmp_path, capsys, cell):
     assert captured.err == f"error: row 2: unparseable date {cell!r}\n"
 
 
+@pytest.mark.parametrize("row", [1, 3])
+def test_csv_errors_name_the_data_row(tmp_path, row):
+    # csv refuses a field over its default field_size_limit of 131,072 characters
+    lines = ["0.1", "0.2", "0.3"]
+    lines[row - 1] = "x" * 200_000
+    path = _write(tmp_path, "big.csv", "\n".join(["ret", *lines]) + "\n")
+    with pytest.raises(InvalidInputError, match=f"^row {row}: field larger than field limit"):
+        load_csv(path, column="ret")
+
+
 def test_load_empty_file(tmp_path):
     path = _write(tmp_path, "empty.csv", "date,ret\n")
     with pytest.raises(InvalidInputError):
-        load_csv(path, date_column="date", return_column="ret")
-
-
-def test_load_requires_exactly_one_value_column(tmp_path):
-    path = _write(tmp_path, "both.csv", "ret,close\n0.1,100\n")
-    with pytest.raises(InvalidInputError, match="exactly one of price_column and return_column"):
-        load_csv(path, return_column="ret", price_column="close")
-    with pytest.raises(InvalidInputError, match="exactly one of price_column and return_column"):
-        load_csv(path)
+        load_csv(path, date_column="date", column="ret")
 
 
 def test_load_gzip_and_delimiter(tmp_path):
     path = tmp_path / "data.csv.gz"
     with gzip.open(path, "wt", encoding="utf-8") as handle:
         handle.write("ret,x\n0.01,a\n-0.02,b\n")
-    series = load_csv(path, return_column="ret")
+    series = load_csv(path, column="ret")
     assert np.allclose(series.values, [0.01, -0.02])
 
 
 def test_load_rejects_nan_cell(tmp_path):
     path = _write(tmp_path, "nan.csv", "ret\n0.1\nnan\n")
     with pytest.raises(InvalidInputError, match="row 2"):
-        load_csv(path, return_column="ret")
+        load_csv(path, column="ret")
 
 
 def test_load_order_break_names_row(tmp_path):
@@ -116,7 +118,7 @@ def test_load_order_break_names_row(tmp_path):
         tmp_path, "order.csv", "date,ret\n2020-01-06,0.1\n2020-01-08,0.2\n2020-01-07,0.3\n"
     )
     with pytest.raises(InvalidInputError, match=r"^row 3: date 2020-01-07 is not after 2020-01-08$"):
-        load_csv(path, date_column="date", return_column="ret")
+        load_csv(path, date_column="date", column="ret")
 
 
 BOM_TEXT = "\ufeffdate,close\n2020-01-06,100\n2020-01-07,101\n"
@@ -125,7 +127,7 @@ BOM_TEXT = "\ufeffdate,close\n2020-01-06,100\n2020-01-07,101\n"
 def test_load_skips_byte_order_mark(tmp_path):
     path = _write(tmp_path, "excel.csv", BOM_TEXT)
     assert path.read_bytes().startswith(b"\xef\xbb\xbfdate,")
-    series = load_csv(path, date_column="date", price_column="close")
+    series = load_csv(path, date_column="date", column="close")
     assert series.values.tolist() == [100.0, 101.0]
     assert series.dates.tolist() == [date(2020, 1, 6), date(2020, 1, 7)]
 
@@ -133,7 +135,7 @@ def test_load_skips_byte_order_mark(tmp_path):
 def test_load_skips_byte_order_mark_gzip(tmp_path):
     path = tmp_path / "excel.csv.gz"
     path.write_bytes(gzip.compress(BOM_TEXT.encode("utf-8")))
-    series = load_csv(path, date_column="date", price_column="close")
+    series = load_csv(path, date_column="date", column="close")
     assert series.values.tolist() == [100.0, 101.0]
     assert series.dates.tolist() == [date(2020, 1, 6), date(2020, 1, 7)]
 
@@ -143,9 +145,9 @@ def test_load_blank_lines_emit_no_warning(tmp_path):
     only_blank = _write(tmp_path, "only-blank.csv", "date,ret\n\n\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        series = load_csv(blank, date_column="date", return_column="ret")
+        series = load_csv(blank, date_column="date", column="ret")
         with pytest.raises(InvalidInputError, match="no data rows"):
-            load_csv(only_blank, date_column="date", return_column="ret")
+            load_csv(only_blank, date_column="date", column="ret")
     assert series.values.tolist() == [0.1, 0.2]
 
 
@@ -167,12 +169,17 @@ _SPECIAL_LINES = (
     + [(kind,) for kind in ("short", "extra", "quoted-note", "repeat-date")]
 )
 _FIXED_LINES = {"blank": "", "spaces": "   ", "comment": "# note", "empty-cells": ",,"}
+# header cells that spread the header over several lines
+_NOTE_HEADERS = ["note", '"no\nte"', '"no\rte"', '"no\r\nte"']
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 
 
-def _render_csv(lines, order, newline) -> str:
-    """A CSV with columns ``order`` (a permutation of date, close, note)."""
-    out = [",".join(order)]
+def _render_csv(lines, order, newline, note_header="note") -> str:
+    """A CSV with columns ``order`` (a permutation of date, close, note).
+
+    The note column's header cell is written ``note_header``.
+    """
+    out = [",".join(note_header if name == "note" else name for name in order)]
     day = date(2019, 12, 30)
     for line in lines:
         kind = line[0]
@@ -210,7 +217,7 @@ def _assert_bulk_matches_rows(path, date_column):
     def bulk():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            series = load_csv(path, date_column=date_column, return_column="close")
+            series = load_csv(path, date_column=date_column, column="close")
         return series.values, series.dates
 
     assert _outcome(bulk) == _outcome(lambda: _load_rows(path, "close", date_column))
@@ -224,14 +231,17 @@ def _assert_bulk_matches_rows(path, date_column):
     specials=st.lists(st.tuples(st.integers(0, 8), st.sampled_from(_SPECIAL_LINES)), max_size=2),
     order=st.permutations(["date", "close", "note"]),
     newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    note_header=st.sampled_from(_NOTE_HEADERS),
     dated=st.booleans(),
     compressed=st.booleans(),
 )
-def test_bulk_parse_matches_row_loop(tmp_path, values, specials, order, newline, dated, compressed):
+def test_bulk_parse_matches_row_loop(
+    tmp_path, values, specials, order, newline, note_header, dated, compressed
+):
     lines = [("row", value) for value in values]
     for position, line in specials:
         lines.insert(position, line)
-    data = _render_csv(lines, order, newline).encode("utf-8")
+    data = _render_csv(lines, order, newline, note_header).encode("utf-8")
     path = tmp_path / ("input.csv.gz" if compressed else "input.csv")
     path.write_bytes(gzip.compress(data) if compressed else data)
     _assert_bulk_matches_rows(path, "date" if dated else None)
@@ -249,14 +259,27 @@ def test_bulk_parse_matches_row_loop_on_every_special_line(tmp_path):
 
 @pytest.mark.parametrize("dated", [True, False], ids=["dated", "undated"])
 def test_header_with_quoted_newline_loads_as_row_loop(tmp_path, dated):
-    # numpy skips one physical line, which here ends inside the header, so it
-    # would read the header's second line as a row
+    # the header's second line looks like a data row; numpy skips both lines csv read
     text = 'date,close,"note\n2020-01-03,9.5,x"\n2020-01-06,1.5,"a\n"",b"\n2020-01-07,2.5,c\n2020-01-08,3.5,d\n'
     path = _write(tmp_path, "header.csv", text)
     date_column = "date" if dated else None
-    assert _load_bulk(path, "close", date_column) is None
+    assert _load_bulk(path, "close", date_column)[0].tolist() == [1.5, 2.5, 3.5]
     _assert_bulk_matches_rows(path, date_column)
-    assert load_csv(path, date_column=date_column, return_column="close").values.tolist() == [1.5, 2.5, 3.5]
+    assert load_csv(path, date_column=date_column, column="close").values.tolist() == [1.5, 2.5, 3.5]
+
+
+@pytest.mark.parametrize(
+    ("note_header", "newline"),
+    [(header, "\n") for header in _NOTE_HEADERS[1:]] + [(_NOTE_HEADERS[1], "\r")],
+    ids=["quoted-lf", "quoted-cr", "quoted-crlf", "cr-line-endings"],
+)
+def test_headers_over_several_lines_take_the_bulk_path(tmp_path, note_header, newline):
+    lines = [("row", "1.5"), ("row", "2.5"), ("row", "3.5")]
+    path = tmp_path / "input.csv"
+    text = _render_csv(lines, ["date", "close", "note"], newline, note_header)
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _load_bulk(path, "close", "date")[0].tolist() == [1.5, 2.5, 3.5]
+    _assert_bulk_matches_rows(path, "date")
 
 
 @pytest.mark.parametrize(
@@ -278,7 +301,7 @@ def test_golden_inputs_take_the_bulk_path(name, value_column, date_column):
 def test_plain_text_with_a_numpy_compression_suffix_loads(tmp_path, suffix):
     path = _write(tmp_path, f"returns.csv{suffix}", "date,ret\n2020-01-06,0.1\n2020-01-07,-0.2\n")
     assert _load_bulk(path, "ret", "date") is None
-    series = load_csv(path, date_column="date", return_column="ret")
+    series = load_csv(path, date_column="date", column="ret")
     assert series.values.tolist() == [0.1, -0.2]
     assert series.dates.tolist() == [date(2020, 1, 6), date(2020, 1, 7)]
 
@@ -318,7 +341,7 @@ def test_price_file_loses_one_row_to_differencing(tmp_path):
     rng = np.random.default_rng(6)
     lines = ["close"] + [f"{p:.6f}" for p in 100 + np.cumsum(rng.normal(0, 0.5, 13_550))]
     path = _write(tmp_path, "big.csv", "\n".join(lines) + "\n")
-    prices = load_csv(path, price_column="close")
+    prices = load_csv(path, column="close")
     assert len(prices) == 13_550
     assert len(log_returns(prices)) == 13_549
 

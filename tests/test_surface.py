@@ -89,7 +89,7 @@ PUBLIC_SIGNATURES = {
     "family_share": ("kind", "order"),
     "fgn_autocovariance": ("hurst", "lags"),
     "fgn_generate": ("cfg",),
-    "load_csv": ("path", "date_column", "price_column", "return_column"),
+    "load_csv": ("path", "column", "date_column"),
     "log_returns": ("prices",),
     "normal_sf": ("z",),
     "pattern_family": ("kind", "order"),
