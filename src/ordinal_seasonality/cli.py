@@ -20,7 +20,7 @@ import sys
 import traceback
 from enum import Enum
 from functools import partial
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 from typing import Sequence
 
 import numpy as np
@@ -142,13 +142,24 @@ def _scalar(obj, plain: dict) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-# a writer joins its fragment buffer into one chunk string once the buffer
-# holds more than this many fragments, and writes a table this many rows at
-# a time, so no report is ever held as many small strings at once
+# _join joins this many fragments at a time, and a table is written this
+# many rows at a time, so no report is ever held as many small strings at once
 _CHUNK_FRAGMENTS = 1024
 
 # the plain type each table field's values take, by numpy dtype kind
 _FIELD_TYPES = {"b": bool, "i": int, "u": int, "f": float, "U": str}
+
+
+def _join(fragments) -> str:
+    """The text of an iterable of string fragments.
+
+    Fragments are joined ``_CHUNK_FRAGMENTS`` at a time into chunk strings,
+    and the chunks once at the end, so the text is held about twice over
+    at its peak and never as many small strings.
+    """
+    fragments = iter(fragments)
+    batches = iter(lambda: list(islice(fragments, _CHUNK_FRAGMENTS)), [])
+    return "".join(map("".join, batches))
 
 
 def _table_blocks(table, plain: dict):
@@ -172,43 +183,35 @@ def _table_blocks(table, plain: dict):
     )
 
 
-def _emit_table(table, pad: str, out: list[str], chunks: list[str]) -> None:
-    """Append the JSON of a 1-D structured array: a list of one object per row.
+def _emit_table(table, pad: str):
+    """Yield the JSON of a 1-D structured array: a list of one object per row.
 
-    The text of a block of rows is one join over the field heads (each
+    Each block of rows is one fragment, a join over the field heads (each
     key's encoded ``indent "key": ``) interleaved with the column texts.
-    The buffer ``out`` is joined onto ``chunks`` first, then each block
-    goes onto ``chunks`` as one string.
     """
     blocks = _table_blocks(table, _JSON_PLAIN)
     if not len(table):
-        out.append("[]")
+        yield "[]"
         return
     inner = pad + "  "
-    first_key, *keys = (f"{inner}  {_encode_string(name)}: " for name in table.dtype.names)
-    # a row opens with its separator, its brace and its first key; the table's first row with "["
-    row_open = f",\n{inner}{{\n{first_key}"
-    heads = [f",\n{key}" for key in keys]
+    heads = [f",\n{inner}  {_encode_string(name)}: " for name in table.dtype.names]
+    heads[0] = f",\n{inner}{{{heads[0][1:]}"  # a row opens with its separator, its brace and its first key
     close = repeat(f"\n{inner}}}")
-    chunks.append("".join(out))
-    out.clear()
-    for start, (first, *rest) in blocks:
-        opens = repeat(row_open) if start else chain(("[" + row_open[1:],), repeat(row_open))
-        parts = [opens, first]
-        for head, text in zip(heads, rest):
-            parts += (repeat(head), text)
-        chunks.append("".join(chain.from_iterable(zip(*parts, close))))
-    out.append(f"\n{pad}]")
+    yield "["
+    for start, texts in blocks:
+        parts = [text for head, column in zip(heads, texts) for text in (repeat(head), column)]
+        block = "".join(chain.from_iterable(zip(*parts, close)))
+        yield block if start else block[1:]  # the first row has no separator
+    yield f"\n{pad}]"
 
 
-def _emit(obj, pad: str, out: list[str], chunks: list[str]) -> None:
-    """Append the JSON text of ``obj`` to ``out``; recurses into containers only.
+def _emit(obj, pad: str):
+    """Yield the JSON text of ``obj`` in fragments; recurses into containers only.
 
     A container's items are ``(head, value)`` pairs: the indent and encoded
     key of a dict entry, the indent alone for a list or tuple item.  Each
-    item goes in with its separator in front.  After each item, a buffer of
-    more than ``_CHUNK_FRAGMENTS`` fragments is joined onto ``chunks`` and
-    cleared.  Tables go to :func:`_emit_table`.
+    item goes out with its separator in front.  Tables go to
+    :func:`_emit_table`.
     """
     inner = pad + "  "
     if isinstance(obj, dict):
@@ -218,27 +221,21 @@ def _emit(obj, pad: str, out: list[str], chunks: list[str]) -> None:
         braces = "[]"
         items = zip(repeat(inner), obj)
     elif isinstance(obj, np.ndarray):
-        _emit_table(obj, pad, out, chunks)
+        yield from _emit_table(obj, pad)
         return
     else:
-        out.append(_scalar(obj, _JSON_PLAIN))
-        return
-    if not obj:
-        out.append(braces)
+        yield _scalar(obj, _JSON_PLAIN)
         return
     sep = braces[0] + "\n"
     for head, value in items:
         plain = _JSON_PLAIN.get(type(value))
         if plain is not None:
-            out.append(f"{sep}{head}{plain(value)}")
+            yield f"{sep}{head}{plain(value)}"
         else:
-            out.append(sep + head)
-            _emit(value, inner, out, chunks)
+            yield sep + head
+            yield from _emit(value, inner)
         sep = ",\n"
-        if len(out) > _CHUNK_FRAGMENTS:
-            chunks.append("".join(out))
-            out.clear()
-    out.append(f"\n{pad}{braces[1]}")
+    yield f"\n{pad}{braces[1]}" if obj else braces
 
 
 def dumps(obj) -> str:
@@ -253,63 +250,47 @@ def dumps(obj) -> str:
     bools, ints, floats or str.  Any other type, a plain array included,
     raises :class:`TypeError`.
 
-    Memory: the text is built in chunks of about ``_CHUNK_FRAGMENTS``
-    fragments each, joined once at the end, so writing a report holds about
-    twice the length of its text beyond the report itself.
+    Memory: the text is built by :func:`_join`, so writing a report holds
+    about twice the length of its text beyond the report itself.
     """
-    out: list[str] = []
-    chunks: list[str] = []
-    _emit(obj, "", out, chunks)
-    out.append("\n")
-    chunks.append("".join(out))
-    return "".join(chunks)
+    return _join(chain(_emit(obj, ""), ("\n",)))
 
 
-def _flatten_table(table, path: str, out: list[str], chunks: list[str]) -> None:
-    """Append the ``path[i].field,value`` lines of a 1-D structured array, row by row.
+def _flatten_table(table, path: str):
+    """Yield the ``path[i].field,value`` lines of a 1-D structured array, a block of rows per fragment.
 
     Each field's keys come from one ``%`` template of the row index, its
-    quoting decided once.  The buffer ``out`` is joined onto ``chunks``
-    first, then each block of rows goes onto ``chunks`` as one string.
+    quoting decided once.
     """
     blocks = _table_blocks(table, _CSV_PLAIN)
     prefix = path.replace("%", "%%")
     keys = [_csv_field(f"{prefix}[%d].{name.replace('%', '%%')}") + "," for name in table.dtype.names]
     newline = repeat("\n")
-    chunks.append("".join(out))
-    out.clear()
     for start, texts in blocks:
         parts = []
         for key, text in zip(keys, texts):
             parts += (map(key.__mod__, count(start)), text, newline)
-        chunks.append("".join(chain.from_iterable(zip(*parts))))
+        yield "".join(chain.from_iterable(zip(*parts)))
 
 
-def _flatten(obj, path: str, out: list[str], chunks: list[str]) -> None:
-    """Append a ``path,value`` line to ``out`` for each scalar under ``obj``.
-
-    Recurses into containers only, and joins the buffer onto ``chunks``
-    as :func:`_emit` does.
-    """
+def _flatten(obj, path: str):
+    """Yield a ``path,value`` line for each scalar under ``obj``; recurses into containers only."""
     if isinstance(obj, dict):
         items = ((f"{path}.{key}" if path else str(key), value) for key, value in obj.items())
     elif isinstance(obj, (list, tuple)):
         items = ((f"{path}[{i}]", value) for i, value in enumerate(obj))
     elif isinstance(obj, np.ndarray):
-        _flatten_table(obj, path, out, chunks)
+        yield from _flatten_table(obj, path)
         return
     else:
-        out.append(f"{_csv_field(path)},{_scalar(obj, _CSV_PLAIN)}\n")
+        yield f"{_csv_field(path)},{_scalar(obj, _CSV_PLAIN)}\n"
         return
     for sub, value in items:
         plain = _CSV_PLAIN.get(type(value))
         if plain is not None:
-            out.append(f"{_csv_field(sub)},{plain(value)}\n")
+            yield f"{_csv_field(sub)},{plain(value)}\n"
         else:
-            _flatten(value, sub, out, chunks)
-        if len(out) > _CHUNK_FRAGMENTS:
-            chunks.append("".join(out))
-            out.clear()
+            yield from _flatten(value, sub)
 
 
 def to_flat_csv(doc) -> str:
@@ -326,11 +307,7 @@ def to_flat_csv(doc) -> str:
     Memory: as for :func:`dumps`, about twice the length of the text beyond
     the report itself.
     """
-    out = ["key,value\n"]
-    chunks: list[str] = []
-    _flatten(doc, "", out, chunks)
-    chunks.append("".join(out))
-    return "".join(chunks)
+    return _join(chain(("key,value\n",), _flatten(doc, "")))
 
 
 def _outcome_dict(outcome: TestOutcome) -> dict:
@@ -624,8 +601,9 @@ def cmd_patterns(args) -> int:
         doc = {"command": "patterns", "order": args.d, "family": args.family, "patterns": listing}
         _write_output(dumps(doc), args.output)
     else:
-        lines = [f"{k},{pattern}" for k, pattern in listing.tolist()]
-        _write_output("\n".join(lines) + "\n", args.output)
+        blocks = _table_blocks(listing, _CSV_PLAIN)
+        rows = (zip(numbers, repeat(","), strings, repeat("\n")) for _, (numbers, strings) in blocks)
+        _write_output(_join("".join(chain.from_iterable(block)) for block in rows), args.output)
     return 0
 
 

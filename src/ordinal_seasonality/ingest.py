@@ -58,10 +58,28 @@ def _open_text(path: Path):
     return open(path, "r", encoding="utf-8-sig", newline="")
 
 
-def _has_nul(path: Path) -> bool:
+def _bulk_may_differ(path: Path) -> bool:
+    """Whether the row loop may reject what numpy reads: a NUL byte, or a field over csv's size limit.
+
+    Such a field covers a whole aligned slice of half the limit (64 KiB at
+    most) in which every line break lies inside quotes.
+    """
+    span = max(1, min(1 << 16, (csv.field_size_limit() + 2) // 2))
     opener = gzip.open if path.suffix == ".gz" else open
+    quoted = 0  # quote parity after the bytes read so far
     with opener(path, "rb") as raw:
-        return any(b"\0" in block for block in iter(partial(raw.read, 1 << 20), b""))
+        for block in iter(partial(raw.read, 16 * span), b""):
+            if b"\0" in block:
+                return True
+            if quoted or b'"' in block:  # blank out the bytes inside quotes
+                data = np.frombuffer(block, np.uint8)
+                parity = (np.cumsum(data == ord('"')) + quoted) & 1
+                quoted = int(parity[-1])
+                block = np.where(parity == 1, np.uint8(ord(" ")), data).tobytes()
+            slices = range(0, len(block) - span + 1, span)
+            if any(block.find(b"\n", s, s + span) < 0 and block.find(b"\r", s, s + span) < 0 for s in slices):
+                return True
+    return False
 
 
 def _parse_date(text: str, row: int) -> date:
@@ -125,13 +143,13 @@ def _load_bulk(path: Path, value_column: str, date_column: str | None):
     The header is read with :mod:`csv`; numpy then reads the data rows from
     the path itself, which it parses in C chunks rather than line by line.
     Any parse or decompression error, short row, non-finite value, date not
-    exactly ``YYYY-MM-DD``, order break or NUL byte gives None, as does a
-    suffix numpy would decompress.
+    exactly ``YYYY-MM-DD`` or order break gives None, as do the bytes of
+    :func:`_bulk_may_differ` and a suffix numpy would decompress.
     """
     if path.suffix in _NUMPY_DECOMPRESSED:
         return None
     try:
-        if _has_nul(path):  # fixed-width date bytes cannot show a trailing NUL
+        if _bulk_may_differ(path):  # fixed-width date bytes cannot show a trailing NUL
             return None
         with _open_text(path) as handle:
             reader = csv.reader(handle)
@@ -216,8 +234,9 @@ def load_csv(path, column: str, date_column: str | None = None) -> ReturnSeries:
 
     The columns are parsed in bulk.  When that fails, or a value is not
     finite, a date is not exactly ``YYYY-MM-DD``, the dates do not strictly
-    increase, the file holds a NUL character or the name ends in ``.bz2``,
-    ``.xz`` or ``.lzma``, the file is read row by row.  That gives the same
+    increase, the file holds a NUL character or a field that may exceed
+    :mod:`csv`'s size limit, or the name ends in ``.bz2``, ``.xz`` or
+    ``.lzma``, the file is read row by row.  That gives the same
     result, or raises :class:`~ordinal_seasonality.errors.InvalidInputError`
     naming the 1-based data row (or the header, for a :mod:`csv` error
     there); a broken gzip stream raises it naming the file.

@@ -20,6 +20,7 @@ import ordinal_seasonality
 import ordinal_seasonality.cli as cli
 from ordinal_seasonality.fgn import BinomialAggregate, ChiAggregate, RejectionCounts, SimulationReport
 from ordinal_seasonality.fixtures import nyse_fixture_distribution, series_from_distribution
+from ordinal_seasonality.patterns import PatternFamily, pattern_family, pattern_strings
 from oracles import dumps_by_recursion, flat_csv_by_recursion
 
 # the child imports the package this test imported, installed or not
@@ -97,6 +98,31 @@ def test_patterns_family_filters():
 def test_patterns_family_at_order_two(capsys):
     assert cli.main(["patterns", "--d", "2", "--family", "monday-largest"]) == 0
     assert capsys.readouterr().out == "2,10\n"
+
+
+@pytest.mark.parametrize(
+    ("order", "family"), [(8, None), (7, "monday-largest")], ids=["d8-40-blocks", "d7-family"]
+)
+def test_patterns_csv_is_one_line_per_pattern(order, family, capsys):
+    argv = ["patterns", "--d", str(order)] + (["--family", family] if family else [])
+    assert cli.main(argv) == 0
+    ids = sorted(pattern_family(PatternFamily(family), order)) if family else range(1, math.factorial(order) + 1)
+    strings = pattern_strings(order)
+    assert capsys.readouterr().out == "".join(f"{k},{strings[k - 1]}\n" for k in ids)
+
+
+def test_patterns_csv_holds_no_per_row_objects(tmp_path):
+    # the listing table (1.6 MB), its pattern strings (1.3 MB) and the text
+    # (0.6 MB) twice; a tuple and a line string per row take 10 MB more
+    argv = ["patterns", "--d", "8", "--output", str(tmp_path / "patterns.csv")]
+    assert cli.main(argv) == 0  # builds the order-8 pattern table once
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, f"peak {peak:,} bytes"
 
 
 def test_patterns_json_format():
@@ -761,6 +787,7 @@ _FIELD_OVER_CSV_LIMIT = "x" * 200_000  # csv's default field_size_limit is 131,0
     [
         "input-directory", "plain-text-gz", "invalid-utf8", "output-directory",
         "truncated-gz", "corrupt-gz", "oversized-field", "oversized-header",
+        "oversized-unread-field", "oversized-field-before-nan",
     ],
 )
 def test_file_errors_exit_2_without_traceback(case, tmp_path, returns_csv, capsys):
@@ -774,6 +801,10 @@ def test_file_errors_exit_2_without_traceback(case, tmp_path, returns_csv, capsy
         "corrupt-gz": ("corrupt.csv.gz", compressed[:10] + b"\xff" * 16),
         "oversized-field": ("field.csv", f"ret\n0.1\n{_FIELD_OVER_CSV_LIMIT}\n0.2\n".encode()),
         "oversized-header": ("header.csv", f"ret,{_FIELD_OVER_CSV_LIMIT}\n0.1\n0.2\n".encode()),
+        "oversized-unread-field": ("note.csv", f"ret,note\n0.1,{_FIELD_OVER_CSV_LIMIT}\n0.2,y\n".encode()),
+        "oversized-field-before-nan": (
+            "nan.csv", f"ret,note\n0.1,{_FIELD_OVER_CSV_LIMIT}\n0.2,y\nnan,z\n".encode()
+        ),
     }
     if case in files:
         name, data = files[case]
@@ -791,5 +822,7 @@ def test_file_errors_exit_2_without_traceback(case, tmp_path, returns_csv, capsy
         "corrupt-gz": "corrupt.csv.gz: ",
         "oversized-field": "error: row 2: field larger than field limit",
         "oversized-header": "header.csv: header: field larger than field limit",
+        "oversized-unread-field": "error: row 1: field larger than field limit",
+        "oversized-field-before-nan": "error: row 1: field larger than field limit",
     }
     assert named.get(case, "") in err

@@ -1,3 +1,4 @@
+import csv
 import gzip
 import math
 import warnings
@@ -91,6 +92,47 @@ def test_csv_errors_name_the_data_row(tmp_path, row):
     path = _write(tmp_path, "big.csv", "\n".join(["ret", *lines]) + "\n")
     with pytest.raises(InvalidInputError, match=f"^row {row}: field larger than field limit"):
         load_csv(path, column="ret")
+
+
+_OVER_LIMIT = "x" * 200_000  # csv's default field_size_limit is 131,072
+_UNREAD_OVERSIZED = {
+    "unread-column": f"ret,note\n0.1,{_OVER_LIMIT}\n0.2,y\n",
+    # a row that sends the bulk parse to the row loop for another reason
+    "before-nan": f"ret,note\n0.1,{_OVER_LIMIT}\n0.2,y\nnan,z\n",
+    # every line short, the quoted field long
+    "quoted-lines": 'ret,note\n0.1,"' + ("x" * 99 + '""\r\n') * 2000 + '"\n0.2,y\n',
+}
+
+
+@pytest.mark.parametrize("case", list(_UNREAD_OVERSIZED))
+def test_an_oversized_unread_field_fails_as_in_the_row_loop(tmp_path, case):
+    path = _write(tmp_path, "big.csv", _UNREAD_OVERSIZED[case])
+    assert _load_bulk(path, "ret", None) is None
+    message = r"^row 1: field larger than field limit \(131072\)$"
+    with pytest.raises(InvalidInputError, match=message):
+        load_csv(path, column="ret")
+    with pytest.raises(InvalidInputError, match=message):
+        _load_rows(path, "ret", None)
+
+
+def test_the_oversized_field_sign_follows_the_csv_limit(tmp_path):
+    path = _write(tmp_path, "wide.csv", "ret,note\n0.1," + "x" * 1500 + "\n0.2,y\n")
+    assert _load_bulk(path, "ret", None)[0].tolist() == [0.1, 0.2]
+    default = csv.field_size_limit(1000)
+    try:
+        assert _load_bulk(path, "ret", None) is None
+        with pytest.raises(InvalidInputError, match=r"^row 1: field larger than field limit \(1000\)$"):
+            load_csv(path, column="ret")
+    finally:
+        csv.field_size_limit(default)
+
+
+def test_quoted_line_breaks_in_short_fields_take_the_bulk_path(tmp_path):
+    # 30,000 rows, about ten 64 KiB slices, each note quoted across a line break
+    text = "ret,note\n" + "".join(f'{k / 8},"a\r\n""b"""\n' for k in range(30_000))
+    path = _write(tmp_path, "notes.csv", text)
+    values, _ = _load_bulk(path, "ret", None)
+    assert values.tolist() == _load_rows(path, "ret", None)[0].tolist() == [k / 8 for k in range(30_000)]
 
 
 def test_load_empty_file(tmp_path):
