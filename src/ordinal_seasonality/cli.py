@@ -184,19 +184,18 @@ def _table_blocks(table, plain: dict):
 
 
 def _emit_table(table, pad: str):
-    """Yield the JSON of a 1-D structured array: a list of one object per row.
+    """Yield the JSON of a 1-D structured array: a list of one object per row, each on one line.
 
     Each block of rows is one fragment, a join over the field heads (each
-    key's encoded ``indent "key": ``) interleaved with the column texts.
+    key's encoded ``"key": ``) interleaved with the column texts.
     """
     blocks = _table_blocks(table, _JSON_PLAIN)
     if not len(table):
         yield "[]"
         return
-    inner = pad + "  "
-    heads = [f",\n{inner}  {_encode_string(name)}: " for name in table.dtype.names]
-    heads[0] = f",\n{inner}{{{heads[0][1:]}"  # a row opens with its separator, its brace and its first key
-    close = repeat(f"\n{inner}}}")
+    heads = [f", {_encode_string(name)}: " for name in table.dtype.names]
+    heads[0] = f",\n{pad}  {{{heads[0][2:]}"  # a row opens with its separator, indent, brace and first key
+    close = repeat("}")
     yield "["
     for start, texts in blocks:
         parts = [text for head, column in zip(heads, texts) for text in (repeat(head), column)]
@@ -247,8 +246,10 @@ def dumps(obj) -> str:
     :func:`format_float`, and non-finite ones as ``null``; numpy integers as
     ints.  A 1-D structured array (a table) is written as the list of one
     object per row, its fields as keys in field order; its fields may hold
-    bools, ints, floats or str.  Any other type, a plain array included,
-    raises :class:`TypeError`.
+    bools, ints, floats or str.  The one exception to the layout is a table
+    row: it takes one line, as ``json.dumps(row)`` writes it,
+    ``{"id": 1, "pattern": "01234", "count": 0}``.  Any other type, a plain
+    array included, raises :class:`TypeError`.
 
     Memory: the text is built by :func:`_join`, so writing a report holds
     about twice the length of its text beyond the report itself.

@@ -218,10 +218,29 @@ def _table_rows(table: np.ndarray) -> list[dict]:
     return [dict(zip(table.dtype.names, row)) for row in table.tolist()]
 
 
+def _emit_table_rows(table: np.ndarray, out: list[str], pad: str, indent: str) -> None:
+    """A table as a list of its rows, each row on one line: ``{"key": value, ...}``."""
+    rows = _table_rows(table)
+    if not rows:
+        out.append("[]")
+        return
+    out.append("[\n")
+    inner = pad + indent
+    for i, row in enumerate(rows):
+        fields = []
+        for key, value in row.items():
+            text: list[str] = []
+            _emit_json(value, text, inner, indent)
+            fields.append(json.dumps(key) + ": " + "".join(text))
+        out.append(inner + "{" + ", ".join(fields) + "}")
+        out.append(",\n" if i < len(rows) - 1 else "\n")
+    out.append(pad + "]")
+
+
 def _emit_json(obj, out: list[str], pad: str, indent: str) -> None:
     if _is_table(obj):
-        obj = _table_rows(obj)
-    if obj is None:
+        _emit_table_rows(obj, out, pad, indent)
+    elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
@@ -264,8 +283,9 @@ def dumps_by_recursion(obj) -> str:
     """The report JSON writer, one recursive call and one ``json.dumps`` per node.
 
     Floats go through the library's ``format_float``: the oracle checks the
-    layout and escaping, not the float text.  A 1-D structured array is
-    first expanded into its list of row dicts.
+    layout and escaping, not the float text.  The layout is
+    ``json.dumps(indent=2)``'s, except that a 1-D structured array is
+    written as the list of its rows, each row on one line.
     """
     out: list[str] = []
     _emit_json(obj, out, "", "  ")

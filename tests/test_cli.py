@@ -694,11 +694,37 @@ def _pattern_rows(form: str):
 def test_tables_of_several_blocks_write_as_their_rows():
     table = _pattern_rows("table")[: 2 * cli._CHUNK_FRAGMENTS + 5]
     rows = _pattern_rows("dicts")[: len(table)]
+    # a string holding a quote, a backslash and non-ASCII text beside a bool, a float and a non-finite float
+    fields = [("name", "U8"), ("flag", "?"), ("x", "f8"), ("y", "f8")]
+    kinds = np.array([('a"b\\é', True, 0.5, math.nan), ("plain", False, -1e-7, math.inf)], dtype=fields)
+    kind_rows = [
+        {"name": 'a"b\\é', "flag": True, "x": 0.5, "y": None},
+        {"name": "plain", "flag": False, "x": -1e-7, "y": None},
+    ]
     # a key holding "%", a comma and quotes puts them in every CSV path below it
     doc = {"sections": [{"counts %d, \"all\"": table, "empty": table[:0], "after": 1}], "tail": table[-3:]}
     expanded = {"sections": [{"counts %d, \"all\"": rows, "empty": [], "after": 1}], "tail": rows[-3:]}
-    assert cli.dumps(doc) == json.dumps(expanded, indent=2) + "\n"
+    doc["kinds"], expanded["kinds"] = kinds, kind_rows
+    text = cli.dumps(doc)
+    # compared as lines: pytest reports the first differing line, not a minutes-long diff of the text
+    assert text.splitlines(keepends=True) == dumps_by_recursion(doc).splitlines(keepends=True)
+    assert json.loads(text) == json.loads(json.dumps(expanded))
     assert cli.to_flat_csv(doc) == cli.to_flat_csv(expanded) == flat_csv_by_recursion(expanded)
+
+
+def test_order8_report_writes_one_line_per_pattern(tmp_path):
+    returns = np.random.default_rng(123).standard_t(4, size=13_550) * 0.01
+    data = tmp_path / "returns.csv"
+    data.write_text("ret\n" + "".join(f"{value!r}\n" for value in returns.tolist()), encoding="utf-8")
+    report = tmp_path / "report.json"
+    assert cli.main(["analyze", "--input", str(data), "--column", "ret", "--d", "8", "--output", str(report)]) == 0
+    text = report.read_text(encoding="utf-8")
+    (section,) = json.loads(text)["sections"]
+    row_lines = [line for line in text.splitlines() if line.lstrip().startswith('{"id": ')]
+    assert len(row_lines) == math.factorial(8)
+    assert [json.loads(line.rstrip(",")) for line in row_lines] == section["pattern_counts"]
+    # 3.95 MB with five lines per row
+    assert len(text.encode("utf-8")) < 2_500_000
 
 
 @pytest.mark.parametrize(
