@@ -79,20 +79,18 @@ def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError("non-finite floats must be mapped to null before serialization")
     text = repr(float(x))
-    if "e" in text or "E" in text:
+    if "e" in text:
         return text
     if "." in text and len(text.split(".", 1)[1]) >= 5:
         return text
     return f"{float(x):.5f}"
 
 
-def _json_float(x) -> str:
-    x = float(x)
+def _json_float(x: float) -> str:
     return format_float(x) if math.isfinite(x) else "null"
 
 
-def _csv_float(x) -> str:
-    x = float(x)
+def _csv_float(x: float) -> str:
     return format_float(x) if math.isfinite(x) else ""
 
 
@@ -125,21 +123,16 @@ _CSV_PLAIN = {
 
 
 def _scalar(obj, plain: dict) -> str:
-    """Text of a plain value, a subclass of one or a numpy number.
+    """Text of a plain value: ``None`` or an exact bool, int, float or str.
 
     ``plain`` is the writer's table of plain types (``_JSON_PLAIN`` or
-    ``_CSV_PLAIN``); any other type raises :class:`TypeError`.
+    ``_CSV_PLAIN``); any other type, a subclass or numpy number included,
+    raises :class:`TypeError`.
     """
     write = plain.get(type(obj))
-    if write is not None:
-        return write(obj)
-    if isinstance(obj, str):
-        return plain[str](obj)
-    if isinstance(obj, (int, np.integer)):
-        return plain[int](int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return plain[float](obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    if write is None:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+    return write(obj)
 
 
 # _join joins this many fragments at a time, and a table is written this
@@ -147,7 +140,7 @@ def _scalar(obj, plain: dict) -> str:
 _CHUNK_FRAGMENTS = 1024
 
 # the plain type each table field's values take, by numpy dtype kind
-_FIELD_TYPES = {"b": bool, "i": int, "u": int, "f": float, "U": str}
+_FIELD_TYPES = {"i": int, "U": str}
 
 
 def _join(fragments) -> str:
@@ -169,8 +162,7 @@ def _table_blocks(table, plain: dict):
     iterator of value texts per field, in field order, written by the
     ``plain`` writer of the field's type.  Any other array raises
     :class:`TypeError` at once: a plain array, one of no fields or of more
-    than one dimension, or a field of another kind (object, bytes, dates,
-    sub-arrays).
+    than one dimension, or a field that is not a signed int or a str.
     """
     names = table.dtype.names or ()
     kinds = [_FIELD_TYPES.get(table.dtype[name].kind) for name in names]
@@ -208,7 +200,7 @@ def _emit(obj, pad: str):
     """Yield the JSON text of ``obj`` in fragments; recurses into containers only.
 
     A container's items are ``(head, value)`` pairs: the indent and encoded
-    key of a dict entry, the indent alone for a list or tuple item.  Each
+    key of a dict entry, the indent alone for a list item.  Each
     item goes out with its separator in front.  Tables go to
     :func:`_emit_table`.
     """
@@ -216,7 +208,7 @@ def _emit(obj, pad: str):
     if isinstance(obj, dict):
         braces = "{}"
         items = ((f"{inner}{_encode_string(str(key))}: ", value) for key, value in obj.items())
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, list):
         braces = "[]"
         items = zip(repeat(inner), obj)
     elif isinstance(obj, np.ndarray):
@@ -240,16 +232,17 @@ def _emit(obj, pad: str):
 def dumps(obj) -> str:
     """Canonical JSON of a report, ending in a newline.
 
-    The layout is ``json.dumps(obj, indent=2)``'s: keys in insertion order,
-    non-ASCII escaped, tuples as lists, ``{}`` and ``[]`` for empty
-    containers.  Floats, numpy's included, are written by
-    :func:`format_float`, and non-finite ones as ``null``; numpy integers as
-    ints.  A 1-D structured array (a table) is written as the list of one
-    object per row, its fields as keys in field order; its fields may hold
-    bools, ints, floats or str.  The one exception to the layout is a table
-    row: it takes one line, as ``json.dumps(row)`` writes it,
-    ``{"id": 1, "pattern": "01234", "count": 0}``.  Any other type, a plain
-    array included, raises :class:`TypeError`.
+    A report holds ``None``, bools, ints, floats, strs, dicts, lists and
+    tables (1-D structured arrays of int and str fields), each of exactly
+    that type.  The layout is ``json.dumps(obj, indent=2)``'s: keys in
+    insertion order, non-ASCII escaped, ``{}`` and ``[]`` for empty
+    containers.  Floats are written by :func:`format_float`, and non-finite
+    ones as ``null``.  A table is written as the list of one object per
+    row, its fields as keys in field order.  The one exception to the
+    layout is a table row: it takes one line, as ``json.dumps(row)`` writes
+    it, ``{"id": 1, "pattern": "01234", "count": 0}``.  Any other type
+    raises :class:`TypeError`: a tuple, a numpy scalar, a subclass of a
+    plain type, a plain array, or a table with a field of another kind.
 
     Memory: the text is built by :func:`_join`, so writing a report holds
     about twice the length of its text beyond the report itself.
@@ -278,7 +271,7 @@ def _flatten(obj, path: str):
     """Yield a ``path,value`` line for each scalar under ``obj``; recurses into containers only."""
     if isinstance(obj, dict):
         items = ((f"{path}.{key}" if path else str(key), value) for key, value in obj.items())
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, list):
         items = ((f"{path}[{i}]", value) for i, value in enumerate(obj))
     elif isinstance(obj, np.ndarray):
         yield from _flatten_table(obj, path)
@@ -297,13 +290,13 @@ def _flatten(obj, path: str):
 def to_flat_csv(doc) -> str:
     """The report as ``key,value`` lines, one per scalar, depth first.
 
-    A key is the scalar's path: ``a.b`` below a dict, ``a[0]`` below a list
-    or tuple; empty containers write no line.  ``None`` and non-finite
-    floats are empty fields, booleans ``true``/``false``, floats as in
-    :func:`format_float`.  A field holding a comma, a quote or a line break
-    is quoted.  A table (a 1-D structured array, as in :func:`dumps`) is
+    The report holds the values :func:`dumps` takes.  A key is the
+    scalar's path: ``a.b`` below a dict, ``a[0]`` below a list; empty
+    containers write no line.  ``None`` and non-finite floats are empty
+    fields, booleans ``true``/``false``, floats as in :func:`format_float`.
+    A field holding a comma, a quote or a line break is quoted.  A table is
     written as its list of rows, ``a[0].field`` for each field of each row.
-    Any other type raises :class:`TypeError`.
+    Any other type raises :class:`TypeError`, as in :func:`dumps`.
 
     Memory: as for :func:`dumps`, about twice the length of the text beyond
     the report itself.
@@ -497,7 +490,7 @@ def cmd_simulate(args) -> int:
             master_seed=args.seed,
         )
         report = run_ensemble(cfg, jobs=args.jobs)
-        mean_frequency = report.h1.averaged.observed["mean_expected_frequency"]
+        mean_frequency = report.weeks / math.factorial(len(report.h2))
         if mean_frequency < EXPECTED_FREQUENCY_FLOOR:
             log.info(
                 "H=%g: mean expected pattern frequency %.2f is below %g",

@@ -52,10 +52,13 @@ class ReturnSeries:
         return int(self.values.size)
 
 
+def _open_binary(path: Path):
+    """``path`` opened for reading bytes, gunzipped when its name ends in ``.gz``."""
+    return gzip.open(path, "rb") if path.suffix == ".gz" else open(path, "rb")
+
+
 def _open_text(path: Path):
-    if path.suffix == ".gz":
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8-sig")
-    return open(path, "r", encoding="utf-8-sig", newline="")
+    return io.TextIOWrapper(_open_binary(path), encoding="utf-8-sig", newline="")
 
 
 def _bulk_may_differ(path: Path) -> bool:
@@ -65,9 +68,8 @@ def _bulk_may_differ(path: Path) -> bool:
     most) in which every line break lies inside quotes.
     """
     span = max(1, min(1 << 16, (csv.field_size_limit() + 2) // 2))
-    opener = gzip.open if path.suffix == ".gz" else open
     quoted = 0  # quote parity after the bytes read so far
-    with opener(path, "rb") as raw:
+    with _open_binary(path) as raw:
         for block in iter(partial(raw.read, 16 * span), b""):
             if b"\0" in block:
                 return True

@@ -248,11 +248,10 @@ def _emit_json(obj, out: list[str], pad: str, indent: str) -> None:
         out.append("false")
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        out.append("null" if not math.isfinite(x) else format_float(x))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append("null" if not math.isfinite(obj) else format_float(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -264,8 +263,8 @@ def _emit_json(obj, out: list[str], pad: str, indent: str) -> None:
             _emit_json(value, out, inner, indent)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not len(obj):
+    elif isinstance(obj, list):
+        if not obj:
             out.append("[]")
             return
         out.append("[\n")
@@ -300,10 +299,10 @@ def _csv_scalar(value) -> str:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, (float, np.floating)):
-        return format_float(float(value)) if math.isfinite(float(value)) else ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, float):
+        return format_float(value) if math.isfinite(value) else ""
+    if isinstance(value, int):
+        return str(value)
     text = str(value)
     if any(ch in text for ch in ",\"\n\r"):
         text = '"' + text.replace('"', '""') + '"'
@@ -318,7 +317,7 @@ def _flatten_for_csv(obj, prefix: str = "") -> list[tuple[str, str]]:
         for key, value in obj.items():
             path = f"{prefix}.{key}" if prefix else str(key)
             rows.extend(_flatten_for_csv(value, path))
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, list):
         for i, value in enumerate(obj):
             rows.extend(_flatten_for_csv(value, f"{prefix}[{i}]"))
     else:
