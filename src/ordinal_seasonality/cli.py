@@ -305,14 +305,16 @@ def to_flat_csv(doc) -> str:
 
 
 def _outcome_dict(outcome: TestOutcome) -> dict:
+    """A test outcome with its decisions at the 10/5/1% levels and its stars (* 10%, ** 5%, *** 1%)."""
+    rejects = [outcome.p_value < level for level in SIGNIFICANCE_LEVELS]
     doc = {
         "statistic": outcome.statistic,  # non-finite: null in JSON, an empty CSV field
         "df": outcome.df,
         "p_value": outcome.p_value,
-        "stars": outcome.stars(),
-        "reject_10": outcome.reject_10,
-        "reject_05": outcome.reject_05,
-        "reject_01": outcome.reject_01,
+        "stars": "*" * sum(rejects),
+        "reject_10": rejects[0],
+        "reject_05": rejects[1],
+        "reject_01": rejects[2],
     }
     doc.update(outcome.observed)
     return doc
@@ -356,7 +358,7 @@ def _input_meta(args, series: ReturnSeries) -> dict:
         "path": str(args.input),
         "label": series.label,
         "points": len(series),
-        "column_kind": "price" if args.price_column else "return",
+        "column_kind": "price" if args.price_column is not None else "return",
         "dated": series.dates is not None,
     }
 

@@ -344,7 +344,7 @@ def _averaged_chi_outcome(mean_cells: np.ndarray, payload: dict) -> TestOutcome:
     df = mean_cells.size - 1
     payload = dict(payload)
     payload["mean_expected_frequency"] = float(mean_cells.sum() / mean_cells.size)
-    return TestOutcome.from_p(q, df, chi2_sf(q, df), payload)
+    return TestOutcome(q, df, chi2_sf(q, df), payload)
 
 
 def _family_aggregate(

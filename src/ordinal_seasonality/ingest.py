@@ -107,10 +107,10 @@ def _read_header(reader, path: Path, value_column: str, date_column: str | None)
         raise InvalidInputError(f"{path}: empty file") from None
     header = [h.strip() for h in header]
     columns = {name: idx for idx, name in enumerate(header)}
-    for needed in filter(None, (date_column, value_column)):
-        if needed not in columns:
+    for needed in (date_column, value_column):
+        if needed is not None and needed not in columns:
             raise InvalidInputError(f"{path}: missing column {needed!r} (header: {header})")
-    return header, columns[value_column], columns[date_column] if date_column else None
+    return header, columns[value_column], columns[date_column] if date_column is not None else None
 
 
 _ISO_WIDTH = 11  # one byte more than YYYY-MM-DD, so a longer cell shows
@@ -223,7 +223,7 @@ def _load_rows(path: Path, value_column: str, date_column: str | None):
 
     if not values:
         raise InvalidInputError(f"{path}: no data rows")
-    return np.asarray(values, dtype=float), (dates if date_column else None)
+    return np.asarray(values, dtype=float), (dates if date_column is not None else None)
 
 
 def load_csv(path, column: str, date_column: str | None = None) -> ReturnSeries:

@@ -138,7 +138,11 @@ def family_share(kind: PatternFamily, order: int) -> float:
     for bit, without building the family.
     """
     order = _validate_order(order)
-    return 1.0 / order if kind is PatternFamily.MONDAY_LARGEST else 1.0 / (order * (order - 1))
+    if kind is PatternFamily.MONDAY_LARGEST:
+        return 1.0 / order
+    if kind is PatternFamily.MONDAY_WORST_FRIDAY_BEST:
+        return 1.0 / (order * (order - 1))
+    raise InvalidInputError(f"unknown family {kind!r}")
 
 
 @dataclass

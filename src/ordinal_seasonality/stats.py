@@ -100,33 +100,16 @@ def normal_sf(z: float) -> float:
 
 @dataclass(frozen=True)
 class TestOutcome:
-    """Result of one hypothesis test with decisions at the 10/5/1% levels."""
+    """Result of one hypothesis test, which rejects at each of :data:`SIGNIFICANCE_LEVELS` above ``p_value``."""
 
     statistic: float
     df: int | None
     p_value: float
-    reject_10: bool
-    reject_05: bool
-    reject_01: bool
     observed: dict = field(default_factory=dict)
 
-    @classmethod
-    def from_p(cls, statistic: float, df: int | None, p_value: float, observed: dict) -> "TestOutcome":
-        p_value = float(p_value)
-        if not 0.0 <= p_value <= 1.0:
-            raise InvalidInputError(f"p-value {p_value} outside [0, 1]")
-        rejects = (p_value < level for level in SIGNIFICANCE_LEVELS)
-        return cls(float(statistic), df, p_value, *rejects, observed=observed)
-
-    def stars(self) -> str:
-        """Significance stars: * 10%, ** 5%, *** 1%."""
-        if self.reject_01:
-            return "***"
-        if self.reject_05:
-            return "**"
-        if self.reject_10:
-            return "*"
-        return ""
+    def __post_init__(self):
+        if not 0.0 <= self.p_value <= 1.0:
+            raise InvalidInputError(f"p-value {self.p_value} outside [0, 1]")
 
 
 def position_matrix(dist: PatternDistribution) -> np.ndarray:
@@ -170,7 +153,7 @@ def _chi2_outcomes(lines: np.ndarray, payloads: list[dict]) -> list[TestOutcome]
     outcomes = []
     for q_i, e, payload in zip(q.tolist(), expected.tolist(), payloads):
         payload = {**payload, "expected_frequency": e, "low_expected_frequency": e < EXPECTED_FREQUENCY_FLOOR}
-        outcomes.append(TestOutcome.from_p(q_i, df, chi2_sf(q_i, df), payload))
+        outcomes.append(TestOutcome(q_i, df, chi2_sf(q_i, df), payload))
     return outcomes
 
 
@@ -244,12 +227,12 @@ def binomial_test(p_e: float, count: float, weeks: int, payload: dict | None = N
         raise InvalidInputError("week count must be >= 1")
     if not 0.0 <= count <= weeks:  # nan fails too
         raise InvalidInputError(f"family count {count} outside [0, {weeks}]")
-    p_o = count / weeks
-    payload = dict(payload or {}, p_e=float(p_e), p_o=float(p_o), weeks=int(weeks))
+    p_e, p_o = float(p_e), float(count / weeks)
+    payload = dict(payload or {}, p_e=p_e, p_o=p_o, weeks=int(weeks))
     z = ((p_e - p_o) / math.sqrt(p_o * (1.0 - p_o) / weeks) if 0.0 < p_o < 1.0
          else math.copysign(math.inf, p_e - p_o))
-    p_value = _binomial_p_value(int(weeks), float(p_e), float(count))
-    return TestOutcome.from_p(z, None, p_value, payload)
+    p_value = _binomial_p_value(int(weeks), p_e, float(count))
+    return TestOutcome(z, None, p_value, payload)
 
 
 def _family_test(dist: PatternDistribution, kind: PatternFamily) -> TestOutcome:

@@ -291,6 +291,22 @@ def test_analyze_needs_exactly_one_value_column(returns_csv):
     assert out.returncode == 2
 
 
+def test_an_empty_column_name_that_the_header_lacks_exits_2(tmp_path, capsys):
+    path = tmp_path / "named.csv"
+    path.write_text("ret\n" + "0.01\n" * 300, encoding="utf-8")
+    assert cli.main(["hurst", "--input", str(path), "--column", ""]) == 2
+    assert capsys.readouterr().err == f"error: {path}: missing column '' (header: ['ret'])\n"
+
+
+def test_an_empty_price_column_name_reports_prices(tmp_path, capsys):
+    path = tmp_path / "blank.csv"
+    prices = 100.0 * np.exp(np.cumsum(np.random.default_rng(3).standard_normal(400) * 0.01))
+    path.write_text("x,\n" + "".join(f"{i},{p!r}\n" for i, p in enumerate(prices.tolist())), encoding="utf-8")
+    assert cli.main(["analyze", "--input", str(path), "--price-column", ""]) == 0
+    meta = json.loads(capsys.readouterr().out)["input"]
+    assert (meta["points"], meta["column_kind"]) == (399, "price")
+
+
 def test_analyze_hurst_flag(fixture_csv):
     out = run_cli(
         "analyze", "--input", str(fixture_csv), "--column", "ret", "--hurst",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ordinal_seasonality.cli import _outcome_dict
 from ordinal_seasonality.errors import InvalidInputError
 from ordinal_seasonality.fixtures import (
     NYSE_PATTERN_COUNTS,
@@ -64,22 +65,22 @@ def test_fixture_row_and_column_q():
     columns = h3_test(matrix)
     for outcome, expected, stars in zip(rows, ROW_Q, ROW_STARS):
         assert outcome.statistic == pytest.approx(expected, abs=1e-5)
-        assert outcome.stars() == stars
+        assert _outcome_dict(outcome)["stars"] == stars
     for outcome, expected, stars in zip(columns, COL_Q, COL_STARS):
         assert outcome.statistic == pytest.approx(expected, abs=1e-5)
-        assert outcome.stars() == stars
+        assert _outcome_dict(outcome)["stars"] == stars
 
 
 def test_row_we_rejects_at_5_not_1():
     matrix = position_matrix(nyse_fixture_distribution())
-    we = h2_test(matrix)[2]
-    assert we.reject_05 and not we.reject_01
+    we = _outcome_dict(h2_test(matrix)[2])
+    assert we["reject_05"] and not we["reject_01"]
 
 
 def test_column_3_rejects_at_10_only():
     matrix = position_matrix(nyse_fixture_distribution())
-    col = h3_test(matrix)[3]
-    assert col.reject_10 and not col.reject_05
+    col = _outcome_dict(h3_test(matrix)[3])
+    assert col["reject_10"] and not col["reject_05"]
 
 
 def test_shuffled_fixture():
@@ -91,10 +92,10 @@ def test_shuffled_fixture():
     columns = h3_test(matrix)
     for outcome, expected in zip(rows, SHUFFLED_ROW_Q):
         assert outcome.statistic == pytest.approx(expected, abs=1e-5)
-        assert not outcome.reject_10
+        assert not _outcome_dict(outcome)["reject_10"]
     for outcome, expected in zip(columns, SHUFFLED_COL_Q):
         assert outcome.statistic == pytest.approx(expected, abs=1e-5)
-        assert not outcome.reject_10
+        assert not _outcome_dict(outcome)["reject_10"]
 
 
 def test_series_realizes_fixture_counts():

@@ -24,6 +24,7 @@ output, and say why where the change is recorded.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -113,3 +114,30 @@ def test_report_matches_golden(name, extra, tmp_path, monkeypatch):
         f"{name} differs from its golden; if the change is intended, regenerate with\n"
         f"  {regenerate_command(name)}"
     )
+
+
+def _outcome_dicts(node):
+    """Every dict below ``node`` that holds a test outcome: a ``p_value`` with its ``stars``."""
+    if isinstance(node, dict):
+        if "p_value" in node and "stars" in node:
+            yield node
+        for value in node.values():
+            yield from _outcome_dicts(value)
+    elif isinstance(node, list):
+        for item in node:
+            yield from _outcome_dicts(item)
+
+
+def test_golden_decisions_are_the_thresholds_of_their_p_values():
+    # analyze rows, columns and tests, and simulate's averaged outcomes
+    found = set()
+    for name in CASES:
+        if name.endswith(".json"):
+            doc = json.loads((ROOT / GOLDENS / name).read_text(encoding="utf-8"))
+            for outcome in _outcome_dicts(doc):
+                p = outcome["p_value"]
+                rejects = [p < 0.10, p < 0.05, p < 0.01]
+                assert [outcome["reject_10"], outcome["reject_05"], outcome["reject_01"]] == rejects, (name, outcome)
+                assert outcome["stars"] == "*" * sum(rejects), (name, outcome)
+                found.add(name)
+    assert sorted(found) == sorted(n for n in CASES if n.startswith(("analyze", "simulate")) and n.endswith(".json"))

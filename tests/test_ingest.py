@@ -66,6 +66,14 @@ def test_load_missing_column(tmp_path):
         load_csv(path, date_column="date", column="close")
 
 
+def test_an_empty_column_name_is_a_name(tmp_path):
+    path = _write(tmp_path, "blank.csv", "ret,\n0.1,2020-01-06\n0.2,2020-01-07\n")
+    for load in (_load_bulk, _load_rows):
+        values, dates = load(path, "ret", "")
+        assert values.tolist() == [0.1, 0.2]
+        assert [str(day) for day in dates] == ["2020-01-06", "2020-01-07"]
+
+
 def test_load_non_monotone_dates(tmp_path):
     path = _write(
         tmp_path, "dates.csv", "date,ret\n2020-01-07,0.1\n2020-01-06,0.2\n"

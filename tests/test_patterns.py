@@ -13,6 +13,7 @@ from ordinal_seasonality.patterns import (
     count_patterns,
     count_windows,
     family_index,
+    family_share,
     pattern_family,
     pattern_strings,
     pattern_table,
@@ -334,5 +335,7 @@ def test_families_at_order_two_are_the_complements():
 
 
 def test_family_rejects_a_kind_that_is_not_a_family():
-    with pytest.raises(InvalidInputError, match="^unknown family 'monday-largest'$"):
-        family_index("monday-largest", 5)
+    # a plain string is no PatternFamily, even when it spells one's value
+    for lookup in (family_index, family_share):
+        with pytest.raises(InvalidInputError, match="^unknown family 'monday-largest'$"):
+            lookup("monday-largest", 5)

@@ -139,7 +139,7 @@ def test_h1_small_bump_not_rejected():
     outcome = h1_test(_dist_from_counts(counts))
     assert outcome.statistic == pytest.approx(20.0)
     assert outcome.df == 119
-    assert not outcome.reject_10
+    assert outcome.p_value >= 0.10
 
 
 def test_h2_identity_rows():
@@ -193,14 +193,24 @@ def test_line_tests_reject_negative_and_empty_lines():
 
 
 def test_outcome_decision_monotonicity_property():
+    from ordinal_seasonality.cli import _outcome_dict
     from ordinal_seasonality.stats import TestOutcome
 
     rng = np.random.default_rng(7)
     for _ in range(200):
         counts = rng.integers(0, 60, size=5) + 1
         q = chi2_statistic(counts)
-        outcome = TestOutcome.from_p(q, 4, chi2_sf(q, 4), {})
-        assert outcome.reject_01 <= outcome.reject_05 <= outcome.reject_10
+        doc = _outcome_dict(TestOutcome(q, 4, chi2_sf(q, 4), {}))
+        assert doc["reject_01"] <= doc["reject_05"] <= doc["reject_10"]
+        assert len(doc["stars"]) == doc["reject_10"] + doc["reject_05"] + doc["reject_01"]
+
+
+@pytest.mark.parametrize("p_value", [-0.1, 1.5, math.nan])
+def test_outcome_rejects_a_p_value_outside_the_unit_interval(p_value):
+    from ordinal_seasonality.stats import TestOutcome
+
+    with pytest.raises(InvalidInputError, match="outside \\[0, 1\\]$"):
+        TestOutcome(1.0, 4, p_value)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +325,7 @@ def test_h4_derived_z():
     counts[0] = 1500
     outcome = h4_test(_dist_from_counts(counts))
     assert outcome.statistic == pytest.approx(-5.1639777949432215, abs=1e-5)
-    assert outcome.reject_01
+    assert outcome.p_value < 0.01
 
 
 def test_h4_degenerate_zero_family_count():
@@ -442,9 +452,9 @@ def test_shuffles_of_persistent_noise_reject_at_nominal_rate():
         shuffled = base[rng.permutation(base.size)]
         dist = count_patterns(shuffled, order=5)
         matrix = position_matrix(dist)
-        h1_hits += h1_test(dist).reject_05
-        h2_hits += [o.reject_05 for o in h2_test(matrix)]
-        h3_hits += [o.reject_05 for o in h3_test(matrix)]
+        h1_hits += h1_test(dist).p_value < 0.05
+        h2_hits += [o.p_value < 0.05 for o in h2_test(matrix)]
+        h3_hits += [o.p_value < 0.05 for o in h3_test(matrix)]
     low, high = 0.02 * shuffles, 0.10 * shuffles
     assert low <= h1_hits <= high
     assert ((h2_hits >= low) & (h2_hits <= high)).all()

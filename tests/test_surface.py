@@ -78,7 +78,7 @@ PUBLIC_SIGNATURES = {
     "PatternDistribution": ("order", "counts", "windows", "ties_observed", "dropped_points"),
     "ReturnSeries": ("values", "dates", "label"),
     "SimulationReport": ("hurst", "weeks", "generator", "h1", "h2", "h3", "h4", "h5"),
-    "TestOutcome": ("statistic", "df", "p_value", "reject_10", "reject_05", "reject_01", "observed"),
+    "TestOutcome": ("statistic", "df", "p_value", "observed"),
     "binomial_test": ("p_e", "count", "weeks", "payload"),
     "calendar_weeks": ("series",),
     "chi2_sf": ("x", "df"),
