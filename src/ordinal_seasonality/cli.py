@@ -364,7 +364,7 @@ def _input_meta(args, series: ReturnSeries) -> dict:
 
 
 def _write_output(text: str, output: str | None) -> None:
-    if output:
+    if output is not None:
         with open(output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     else:
@@ -428,9 +428,8 @@ def _analyze_section(part: ReturnSeries, args) -> dict:
             "h5_monday_worst_friday_best": _outcome_dict(test_h5_monday_worst_friday_best(dist)),
         },
     }
-    if args.hurst:
-        estimate = estimate_hurst(part, method=HurstMethod(args.method))
-        section["hurst"] = _record(estimate)
+    if args.hurst is not None:
+        section["hurst"] = _record(estimate_hurst(part, method=HurstMethod(args.hurst)))
     return section
 
 
@@ -682,8 +681,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--weeks", choices=("block", "calendar"), default="block")
     analyze.add_argument("--d", type=int, default=5, help="pattern order (window length)")
     analyze.add_argument("--subperiods", type=_subperiod_list, default=None)
-    analyze.add_argument("--hurst", action="store_true", help="include a Hurst estimate per section")
-    analyze.add_argument("--method", choices=tuple(m.value for m in HurstMethod), default="rs")
+    analyze.add_argument(
+        "--hurst", nargs="?", const="rs", choices=tuple(m.value for m in HurstMethod),
+        help="include a Hurst estimate per section by this method (rs when none is named)",
+    )
     _add_output_flags(analyze)
     analyze.set_defaults(func=cmd_analyze)
 

@@ -95,19 +95,15 @@ def _pattern_counts_array(order: int, table: dict[str, int]) -> np.ndarray:
     return counts
 
 
-def decompose_position_matrix(
-    matrix: np.ndarray,
-    forbidden_ids: frozenset[int] = frozenset(),
-    caps: np.ndarray | None = None,
-) -> np.ndarray:
+def decompose_position_matrix(matrix: np.ndarray, caps: np.ndarray | None = None) -> np.ndarray:
     """Express a doubly-balanced count matrix as pattern counts.
 
     Returns per-pattern counts whose day-by-position accumulation equals
     ``matrix`` (a discrete Birkhoff-style decomposition).  Each step
     allocates to the admissible pattern with the largest bottleneck cell,
     which keeps the remaining support wide enough for the constrained
-    endgame.  ``forbidden_ids`` excludes specific patterns; ``caps``
-    limits the weight each pattern may receive.  Exhaustive over D!
+    endgame.  ``caps``, indexed by pattern id - 1, limits the weight each
+    pattern may receive; a cap of 0 excludes the pattern.  Exhaustive over D!
     patterns per step, so meant for small orders.  Raises when the
     constraints strand a nonzero residual.
     """
@@ -129,8 +125,6 @@ def decompose_position_matrix(
         if caps is None
         else np.array(caps, dtype=np.int64, copy=True)
     )
-    for pattern_id in forbidden_ids:
-        remaining[pattern_id - 1] = 0
 
     while residual.any():
         bottlenecks = residual[table, cols].min(axis=1)
@@ -155,9 +149,9 @@ def nyse_fixture_distribution() -> PatternDistribution:
     """
     base = _pattern_counts_array(5, NYSE_PATTERN_COUNTS)
     residual = NYSE_POSITION_MATRIX - position_counts(base, 5).astype(np.int64)
-    protected = frozenset(_pattern_ids(5, ("42013", "03421", "04312")).tolist())
     caps = np.maximum(33 - base, 0)
-    extra = decompose_position_matrix(residual, forbidden_ids=protected, caps=caps)
+    caps[_pattern_ids(5, ("42013", "03421", "04312")) - 1] = 0  # no extra blocks for the minimum and maxima
+    extra = decompose_position_matrix(residual, caps)
     return PatternDistribution(order=5, counts=base + extra)
 
 

@@ -250,11 +250,19 @@ def load_csv(path, column: str, date_column: str | None = None) -> ReturnSeries:
 
 
 def log_returns(prices: ReturnSeries) -> ReturnSeries:
-    """Log returns r_t = ln(P_t / P_{t-1}); dates shift to the later day."""
+    """Log returns r_t = ln(P_t / P_{t-1}); dates shift to the later day.
+
+    A price that is not positive raises, naming the first such price by
+    its 1-based position, its value and, in a dated series, its date.
+    """
     if len(prices) < 2:
         raise InvalidInputError("need at least two prices")
-    if (prices.values <= 0).any():
-        raise InvalidInputError("prices must be strictly positive")
+    bad = np.flatnonzero(prices.values <= 0)
+    if bad.size:
+        i = int(bad[0])
+        on = f" on {prices.dates[i]}" if prices.dates is not None else ""
+        price = float(prices.values[i])
+        raise InvalidInputError(f"prices must be strictly positive: price {i + 1} is {price!r}{on}")
     values = np.diff(np.log(prices.values))
     dates = prices.dates[1:] if prices.dates is not None else None
     return ReturnSeries(values=values, dates=dates, label=prices.label)

@@ -150,7 +150,9 @@ class PatternDistribution:
     """Absolute frequency of every pattern of a given order.
 
     ``counts[k]`` is the number of windows encoding to pattern id ``k + 1``,
-    and ``windows`` is their sum.
+    and ``windows`` is their sum.  ``ties_observed`` counts the windows
+    that hold a tie, so it lies in ``0..windows``; ``dropped_points``
+    counts the trailing values too short for a window, so it is >= 0.
     """
 
     order: int
@@ -168,10 +170,12 @@ class PatternDistribution:
             )
         if (counts < 0).any():
             raise InvalidInputError("counts must be non-negative")
-        if self.ties_observed < 0:
-            raise InvalidInputError("ties_observed must be non-negative")
         self.counts = counts
         self.windows = int(counts.sum())
+        if not 0 <= self.ties_observed <= self.windows:
+            raise InvalidInputError(f"ties_observed {self.ties_observed} outside [0, {self.windows}]")
+        if self.dropped_points < 0:
+            raise InvalidInputError(f"dropped_points must be non-negative, got {self.dropped_points}")
 
 
 def _pattern_codes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

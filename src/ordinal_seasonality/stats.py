@@ -40,6 +40,16 @@ EXPECTED_FREQUENCY_FLOOR = 5.0
 _EPS = sys.float_info.epsilon
 
 
+def _whole_number(value, name: str) -> int:
+    """``value`` as an int: an int, a numpy integer or a whole float such as 4.0; anything else raises."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    number = float(value)
+    if not number.is_integer():  # nan and the infinities too
+        raise InvalidInputError(f"{name} must be a whole number, got {value}")
+    return int(number)
+
+
 def chi2_sf(x: float, df: int) -> float:
     """Upper-tail probability of the chi-squared distribution.
 
@@ -57,14 +67,14 @@ def chi2_sf(x: float, df: int) -> float:
     ``lgamma`` prefactor, so it grows with df: the absolute difference
     from ``scipy.special.gammaincc`` is below 2e-14 for df <= 119, 2e-12
     at df = 5039, 2e-11 at 40319 and 3e-9 at 10!-1. x = inf gives 0.0;
-    nan is rejected.
+    nan is rejected, and so is a df that is not a whole number.
     """
     x = float(x)
     if math.isnan(x):
         raise InvalidInputError("chi-squared statistic must not be nan")
     if x < 0:
         raise InvalidInputError("chi-squared statistic must be non-negative")
-    df = int(df)
+    df = _whole_number(df, "degrees of freedom")
     if df < 1:
         raise InvalidInputError("degrees of freedom must be >= 1")
     if x == math.inf:
@@ -219,19 +229,21 @@ def binomial_test(p_e: float, count: float, weeks: int, payload: dict | None = N
     than ``count``, which may be a non-integer mean: the "minlike" rule and
     1e-7 tolerance of ``scipy.stats.binomtest``.  The statistic is the
     paper's z = (p_e - p_o) / sqrt(p_o q_o / N) at p_o = count / N, negative
-    when p_o exceeds p_e, and +inf or -inf at p_o = 0 or 1.
+    when p_o exceeds p_e, and +inf or -inf at p_o = 0 or 1.  ``weeks``
+    must be a whole number.
     """
     if not 0.0 < p_e < 1.0:
         raise InvalidInputError("expected frequency must lie in (0, 1)")
+    weeks = _whole_number(weeks, "week count")
     if weeks < 1:
         raise InvalidInputError("week count must be >= 1")
     if not 0.0 <= count <= weeks:  # nan fails too
         raise InvalidInputError(f"family count {count} outside [0, {weeks}]")
     p_e, p_o = float(p_e), float(count / weeks)
-    payload = dict(payload or {}, p_e=p_e, p_o=p_o, weeks=int(weeks))
+    payload = dict(payload or {}, p_e=p_e, p_o=p_o, weeks=weeks)
     z = ((p_e - p_o) / math.sqrt(p_o * (1.0 - p_o) / weeks) if 0.0 < p_o < 1.0
          else math.copysign(math.inf, p_e - p_o))
-    p_value = _binomial_p_value(int(weeks), p_e, float(count))
+    p_value = _binomial_p_value(weeks, p_e, float(count))
     return TestOutcome(z, None, p_value, payload)
 
 

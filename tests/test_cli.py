@@ -131,6 +131,14 @@ def test_patterns_json_format():
     assert [p["id"] for p in doc["patterns"]] == [1, 2, 3, 4, 5, 6]
 
 
+def test_an_empty_output_path_is_a_path(capsys):
+    # "" names no file that can be opened, so the report goes nowhere, stdout included
+    assert cli.main(["patterns", "--d", "3", "--output", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: [^\n]*\n", captured.err)
+
+
 # ---------------------------------------------------------------------------
 # analyze command
 # ---------------------------------------------------------------------------
@@ -308,13 +316,43 @@ def test_an_empty_price_column_name_reports_prices(tmp_path, capsys):
 
 
 def test_analyze_hurst_flag(fixture_csv):
-    out = run_cli(
-        "analyze", "--input", str(fixture_csv), "--column", "ret", "--hurst",
-        "--method", "dfa",
-    )
+    out = run_cli("analyze", "--input", str(fixture_csv), "--column", "ret", "--hurst", "dfa")
     doc = json.loads(out.stdout)
     assert "hurst" in doc["sections"][0]
     assert doc["sections"][0]["hurst"]["method"] == "dfa"
+
+
+def test_analyze_hurst_flag_alone_is_rs(capsys):
+    argv = ["analyze", "--input", str(GOLDENS / "returns2k.csv.gz"), "--column", "ret",
+            "--subperiods", "1000,1000"]
+    reports = []
+    for flags in (["--hurst"], ["--hurst", "rs"]):
+        assert cli.main([*argv, *flags]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert [section["hurst"]["method"] for section in json.loads(reports[0])["sections"]] == ["rs", "rs"]
+
+
+def test_analyze_has_no_method_option(capsys):
+    # the estimator is --hurst's value, so no --method can be set without it
+    argv = ["analyze", "--input", str(GOLDENS / "returns2k.csv.gz"), "--column", "ret", "--method", "dfa"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --method dfa" in captured.err
+
+
+def test_a_non_positive_price_is_named(tmp_path, capsys):
+    path = tmp_path / "prices.csv"
+    days = _weekdays("2020-01-06", 300)
+    prices = [100.0 + i for i in range(300)]
+    prices[2] = 0.0
+    path.write_text("date,close\n" + "".join(f"{d},{p}\n" for d, p in zip(days, prices)), encoding="utf-8")
+    message = "error: prices must be strictly positive: price 3 is 0.0"
+    assert cli.main(["hurst", "--input", str(path), "--price-column", "close"]) == 2
+    assert capsys.readouterr().err == f"{message}\n"
+    assert cli.main(["hurst", "--input", str(path), "--price-column", "close", "--date-column", "date"]) == 2
+    assert capsys.readouterr().err == f"{message} on 2020-01-08\n"
 
 
 # ---------------------------------------------------------------------------

@@ -124,3 +124,16 @@ def test_decompose_plain_matrix():
     matrix = position_counts_by_loop(counts, 5).astype(np.int64)
     rebuilt = decompose_position_matrix(matrix)
     assert np.array_equal(position_counts_by_loop(rebuilt, 5).astype(np.int64), matrix)
+
+
+def test_a_zero_cap_excludes_a_pattern():
+    rng = np.random.default_rng(4)
+    counts = rng.integers(0, 30, size=120)
+    matrix = position_counts_by_loop(counts, 5).astype(np.int64)
+    # the uncapped decomposition gives 12340 and 23401 (ids 34 and 65) 368 and 365 blocks
+    assert decompose_position_matrix(matrix)[[33, 64]].tolist() == [368, 365]
+    caps = np.full(120, 1_000, dtype=np.int64)
+    caps[[33, 64]] = 0
+    rebuilt = decompose_position_matrix(matrix, caps)
+    assert rebuilt[[33, 64]].tolist() == [0, 0]
+    assert np.array_equal(position_counts_by_loop(rebuilt, 5).astype(np.int64), matrix)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ordinal_seasonality.errors import InvalidInputError
 from ordinal_seasonality.patterns import (
+    PatternDistribution,
     PatternFamily,
     _pattern_codes,
     count_patterns,
@@ -339,3 +340,15 @@ def test_family_rejects_a_kind_that_is_not_a_family():
     for lookup in (family_index, family_share):
         with pytest.raises(InvalidInputError, match="^unknown family 'monday-largest'$"):
             lookup("monday-largest", 5)
+
+
+def test_distribution_rejects_records_that_counting_cannot_make():
+    counts = np.ones(6, dtype=np.int64)
+    with pytest.raises(InvalidInputError, match=r"^ties_observed 99 outside \[0, 6\]$"):
+        PatternDistribution(order=3, counts=counts, ties_observed=99)
+    with pytest.raises(InvalidInputError, match=r"^ties_observed -1 outside \[0, 6\]$"):
+        PatternDistribution(order=3, counts=counts, ties_observed=-1)
+    with pytest.raises(InvalidInputError, match="^dropped_points must be non-negative, got -4$"):
+        PatternDistribution(order=3, counts=counts, dropped_points=-4)
+    # every window may hold a tie
+    assert PatternDistribution(order=3, counts=counts, ties_observed=6, dropped_points=2).windows == 6

@@ -459,3 +459,19 @@ def test_shuffles_of_persistent_noise_reject_at_nominal_rate():
     assert low <= h1_hits <= high
     assert ((h2_hits >= low) & (h2_hits <= high)).all()
     assert ((h3_hits >= low) & (h3_hits <= high)).all()
+
+
+def test_chi2_sf_takes_only_whole_degrees_of_freedom():
+    # df = 2.7 was truncated to the df = 2 tail, exp(-1.5)
+    with pytest.raises(InvalidInputError, match="^degrees of freedom must be a whole number, got 2.7$"):
+        chi2_sf(3.0, 2.7)
+    assert chi2_sf(3.0, 2.0) == chi2_sf(3.0, np.int64(2)) == chi2_sf(3.0, 2)
+
+
+def test_binomial_test_takes_only_whole_week_counts():
+    # weeks = 10.5 gave p_o = 3/10.5 beside the p-value and weeks of 10
+    with pytest.raises(InvalidInputError, match="^week count must be a whole number, got 10.5$"):
+        binomial_test(0.2, 3, 10.5)
+    outcomes = [binomial_test(0.2, 3, weeks) for weeks in (10, 10.0, np.int64(10))]
+    assert all(outcome == outcomes[0] for outcome in outcomes)
+    assert type(outcomes[1].observed["weeks"]) is int

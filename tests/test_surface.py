@@ -139,7 +139,7 @@ def test_public_signatures_are_pinned():
 CLI_OPTIONS = {
     "analyze": (
         "--input", "--column", "--price-column", "--date-column",
-        "--weeks", "--d", "--subperiods", "--hurst", "--method", "--format", "--output",
+        "--weeks", "--d", "--subperiods", "--hurst", "--format", "--output",
     ),
     "simulate": ("--hurst", "--length", "--reps", "--seed", "--jobs", "--format", "--output"),
     "shuffle": (
