@@ -429,7 +429,7 @@ def _analyze_section(part: ReturnSeries, args) -> dict:
         },
     }
     if args.hurst is not None:
-        section["hurst"] = _record(estimate_hurst(part, method=HurstMethod(args.hurst)))
+        section["hurst"] = _record(estimate_hurst(part, method=args.hurst))
     return section
 
 
@@ -609,7 +609,7 @@ def cmd_patterns(args) -> int:
 
 def cmd_hurst(args) -> int:
     series = _load_series(args)
-    estimate = estimate_hurst(series, method=HurstMethod(args.method))
+    estimate = estimate_hurst(series, method=args.method)
     doc = {
         "command": "hurst",
         "input": _input_meta(args, series),

@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, whole_number
 from .ingest import ReturnSeries
 from .patterns import (
     PatternDistribution,
@@ -69,7 +69,10 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class FgnConfig:
-    """One unit-variance fractional-Gaussian-noise sample: Hurst exponent, length, seed."""
+    """One unit-variance fractional-Gaussian-noise sample: Hurst exponent, length, seed.
+
+    ``length`` and ``seed`` must be whole numbers, and are stored as ints.
+    """
 
     hurst: float
     length: int
@@ -78,10 +81,13 @@ class FgnConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.hurst < 1.0:
             raise InvalidInputError(f"hurst must lie in (0, 1), got {self.hurst}")
+        object.__setattr__(self, "length", whole_number(self.length, "length"))
         if self.length < 2:
             raise InvalidInputError("length must be >= 2")
-        if self.seed is not None and self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
+        if self.seed is not None:
+            object.__setattr__(self, "seed", whole_number(self.seed, "seed"))
+            if self.seed < 0:
+                raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,8 @@ class EnsembleConfig:
     """Replicated fGn experiment; per-replication seeds derive from master_seed.
 
     The base config takes no seed: the replications would not read it.
+    ``replications`` and ``master_seed`` must be whole numbers, and are
+    stored as ints.
     """
 
     base: FgnConfig
@@ -98,6 +106,8 @@ class EnsembleConfig:
     def __post_init__(self) -> None:
         if self.base.seed is not None:
             raise InvalidInputError("the base config of an ensemble takes no seed; set master_seed")
+        object.__setattr__(self, "replications", whole_number(self.replications, "replications"))
+        object.__setattr__(self, "master_seed", whole_number(self.master_seed, "seed"))
         if self.master_seed < 0:
             raise InvalidInputError(f"seed must be >= 0, got {self.master_seed}")
 

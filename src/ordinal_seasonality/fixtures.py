@@ -5,9 +5,11 @@ statistics instead: the whole-period ordinal-pattern histogram (2,440
 five-day blocks), the whole-period day-by-position count matrix (2,710
 blocks), and the matrix of a shuffled realization (2,440 blocks).  The
 histogram covers fewer blocks than the whole-period matrix; the fixture
-builder tops it up with a minimal doubly-balanced completion so that the
-reconstructed distribution reproduces the whole-period matrix cell for
-cell while keeping the histogram's least/most frequent patterns intact.
+builder tops it up with a capped greedy decomposition of the difference,
+so that the reconstructed distribution reproduces the whole-period matrix
+cell for cell while keeping the histogram's least/most frequent patterns
+intact.  The same greedy realizes the shuffled matrix; it is exact for
+these two bundled matrices, not for every matrix and caps.
 
 From any of these a synthetic return series can be emitted whose
 block-partition pattern counts equal the reconstruction exactly, which is
@@ -16,7 +18,6 @@ what the bit-exact analysis tests run on.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -78,54 +79,36 @@ NYSE_SHUFFLED_POSITION_MATRIX = np.array(
 )
 
 
-def _pattern_ids(order: int, digit_strings) -> np.ndarray:
-    """Ids of digit strings, each of which must be a pattern of the given order."""
-    strings = pattern_strings(order)  # sorted, since ids are lexicographic ranks
+def _pattern_ids(digit_strings) -> np.ndarray:
+    """Ids of digit strings, each of which must be a pattern of order 5."""
+    strings = pattern_strings(5)  # sorted, since ids are lexicographic ranks
     wanted = np.array(list(digit_strings), dtype=str)
     rows = np.minimum(np.searchsorted(strings, wanted), strings.size - 1)
     missing = np.flatnonzero(strings[rows] != wanted)
     if missing.size:
-        raise InvalidInputError(f"{str(wanted[missing[0]])!r} is not a pattern of order {order}")
+        raise InvalidInputError(f"{str(wanted[missing[0]])!r} is not a pattern of order 5")
     return rows + 1
 
 
-def _pattern_counts_array(order: int, table: dict[str, int]) -> np.ndarray:
-    counts = np.zeros(math.factorial(order), dtype=np.int64)
-    counts[_pattern_ids(order, table) - 1] = list(table.values())
+def _pattern_counts_array(table: dict[str, int]) -> np.ndarray:
+    counts = np.zeros(120, dtype=np.int64)
+    counts[_pattern_ids(table) - 1] = list(table.values())
     return counts
 
 
-def decompose_position_matrix(matrix: np.ndarray, caps: np.ndarray | None = None) -> np.ndarray:
-    """Express a doubly-balanced count matrix as pattern counts.
+def _decompose(matrix: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Order-5 pattern counts whose day-by-position accumulation equals ``matrix``.
 
-    Returns per-pattern counts whose day-by-position accumulation equals
-    ``matrix`` (a discrete Birkhoff-style decomposition).  Each step
-    allocates to the admissible pattern with the largest bottleneck cell,
-    which keeps the remaining support wide enough for the constrained
-    endgame.  ``caps``, indexed by pattern id - 1, limits the weight each
-    pattern may receive; a cap of 0 excludes the pattern.  Exhaustive over D!
-    patterns per step, so meant for small orders.  Raises when the
-    constraints strand a nonzero residual.
+    Each step allocates to the pattern with the largest bottleneck cell,
+    within its remaining cap (``caps`` is indexed by pattern id - 1), which
+    keeps the support wide enough for the endgame.  The greedy is exact for
+    the two bundled matrices, which are all it is run on.
     """
     residual = np.array(matrix, dtype=np.int64, copy=True)
-    if residual.ndim != 2 or residual.shape[0] != residual.shape[1]:
-        raise InvalidInputError("matrix must be square")
-    order = residual.shape[0]
-    if (residual < 0).any():
-        raise InvalidInputError("matrix entries must be non-negative")
-    row_sums = residual.sum(axis=1)
-    if not (row_sums == residual.sum(axis=0)).all() or np.ptp(row_sums) != 0:
-        raise InvalidInputError("matrix must have equal row and column sums")
-
-    table = pattern_table(order)
-    cols = np.arange(order)
-    counts = np.zeros(math.factorial(order), dtype=np.int64)
-    remaining = (
-        np.full(counts.size, np.iinfo(np.int64).max // 2, dtype=np.int64)
-        if caps is None
-        else np.array(caps, dtype=np.int64, copy=True)
-    )
-
+    table = pattern_table(5)
+    cols = np.arange(5)
+    counts = np.zeros(120, dtype=np.int64)
+    remaining = np.array(caps, dtype=np.int64, copy=True)
     while residual.any():
         bottlenecks = residual[table, cols].min(axis=1)
         bottlenecks[remaining <= 0] = 0
@@ -147,18 +130,19 @@ def nyse_fixture_distribution() -> PatternDistribution:
     so that no pattern overtakes the two recorded maxima (34) and the
     recorded minimum (7 at 42013) stays unique.
     """
-    base = _pattern_counts_array(5, NYSE_PATTERN_COUNTS)
+    base = _pattern_counts_array(NYSE_PATTERN_COUNTS)
     residual = NYSE_POSITION_MATRIX - position_counts(base, 5).astype(np.int64)
     caps = np.maximum(33 - base, 0)
-    caps[_pattern_ids(5, ("42013", "03421", "04312")) - 1] = 0  # no extra blocks for the minimum and maxima
-    extra = decompose_position_matrix(residual, caps)
-    return PatternDistribution(order=5, counts=base + extra)
+    caps[_pattern_ids(("42013", "03421", "04312")) - 1] = 0  # no extra blocks for the minimum and maxima
+    return PatternDistribution(order=5, counts=base + _decompose(residual, caps))
 
 
 @lru_cache(maxsize=1)
 def nyse_shuffled_distribution() -> PatternDistribution:
     """A distribution realizing the bundled shuffled day-by-position matrix."""
-    return PatternDistribution(order=5, counts=decompose_position_matrix(NYSE_SHUFFLED_POSITION_MATRIX))
+    matrix = NYSE_SHUFFLED_POSITION_MATRIX
+    caps = np.full(120, matrix[0].sum())  # no pattern outnumbers the weeks, so this cap never binds
+    return PatternDistribution(order=5, counts=_decompose(matrix, caps))
 
 
 def series_from_distribution(dist: PatternDistribution) -> ReturnSeries:

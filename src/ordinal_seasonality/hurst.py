@@ -106,8 +106,13 @@ def estimate_hurst(series, method: HurstMethod = HurstMethod.RS) -> HurstEstimat
 
     Window sizes grow geometrically (ratio 1.5) from 16 to length/4; the
     exponent is the least-squares slope of the log statistic against log
-    window size.
+    window size.  ``method`` is a :class:`HurstMethod` or its value.
     """
+    try:
+        method = HurstMethod(method)
+    except ValueError:
+        choices = ", ".join(repr(m.value) for m in HurstMethod)
+        raise InvalidInputError(f"unknown Hurst method {method!r}; choose from {choices}") from None
     values = np.asarray(getattr(series, "values", series), dtype=float)
     if values.ndim != 1:
         raise InvalidInputError("series must be one-dimensional")
@@ -132,7 +137,7 @@ def estimate_hurst(series, method: HurstMethod = HurstMethod.RS) -> HurstEstimat
             if rs is None:
                 continue
             stat = rs * math.sqrt(w) / expected_rescaled_range(int(w))
-        else:
+        elif method is HurstMethod.DFA:
             stat = _dfa_fluctuation(profile, int(w))
             if stat is None:
                 continue

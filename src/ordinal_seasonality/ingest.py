@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, whole_number
 
 
 @dataclass
@@ -269,8 +269,8 @@ def log_returns(prices: ReturnSeries) -> ReturnSeries:
 
 
 def split_subperiods(series: ReturnSeries, lengths) -> list[ReturnSeries]:
-    """Slice the series into consecutive subperiods of the given lengths, which must cover it."""
-    lengths = [int(n) for n in lengths]
+    """Slice the series into consecutive subperiods of the given whole-number lengths, which must cover it."""
+    lengths = [whole_number(n, "subperiod length") for n in lengths]
     if not lengths:
         raise InvalidInputError("need at least one subperiod length")
     if min(lengths) < 1:

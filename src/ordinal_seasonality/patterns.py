@@ -24,13 +24,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, whole_number
 
 MAX_ORDER = 10
 
 
 def _validate_order(order: int) -> int:
-    order = int(order)
+    order = whole_number(order, "order")
     if order < 2 or order > MAX_ORDER:
         raise InvalidInputError(f"order must be in 2..{MAX_ORDER}, got {order}")
     return order

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, whole_number
 from .patterns import (
     PatternDistribution,
     PatternFamily,
@@ -38,16 +38,6 @@ SIGNIFICANCE_LEVELS = (0.10, 0.05, 0.01)
 EXPECTED_FREQUENCY_FLOOR = 5.0
 
 _EPS = sys.float_info.epsilon
-
-
-def _whole_number(value, name: str) -> int:
-    """``value`` as an int: an int, a numpy integer or a whole float such as 4.0; anything else raises."""
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    number = float(value)
-    if not number.is_integer():  # nan and the infinities too
-        raise InvalidInputError(f"{name} must be a whole number, got {value}")
-    return int(number)
 
 
 def chi2_sf(x: float, df: int) -> float:
@@ -74,7 +64,7 @@ def chi2_sf(x: float, df: int) -> float:
         raise InvalidInputError("chi-squared statistic must not be nan")
     if x < 0:
         raise InvalidInputError("chi-squared statistic must be non-negative")
-    df = _whole_number(df, "degrees of freedom")
+    df = whole_number(df, "degrees of freedom")
     if df < 1:
         raise InvalidInputError("degrees of freedom must be >= 1")
     if x == math.inf:
@@ -234,7 +224,7 @@ def binomial_test(p_e: float, count: float, weeks: int, payload: dict | None = N
     """
     if not 0.0 < p_e < 1.0:
         raise InvalidInputError("expected frequency must lie in (0, 1)")
-    weeks = _whole_number(weeks, "week count")
+    weeks = whole_number(weeks, "week count")
     if weeks < 1:
         raise InvalidInputError("week count must be >= 1")
     if not 0.0 <= count <= weeks:  # nan fails too

@@ -121,6 +121,25 @@ def test_config_validation():
         EnsembleConfig(base=FgnConfig(hurst=0.5, length=100, seed=3), replications=2, master_seed=1)
 
 
+def test_configs_take_only_whole_numbers():
+    base = FgnConfig(hurst=0.5, length=100)
+    with pytest.raises(InvalidInputError, match=r"^length must be a whole number, got 10\.5$"):
+        FgnConfig(hurst=0.5, length=10.5)
+    with pytest.raises(InvalidInputError, match=r"^seed must be a whole number, got 1\.5$"):
+        FgnConfig(hurst=0.5, length=100, seed=1.5)
+    with pytest.raises(InvalidInputError, match=r"^replications must be a whole number, got 2\.5$"):
+        EnsembleConfig(base=base, replications=2.5, master_seed=1)
+    with pytest.raises(InvalidInputError, match=r"^seed must be a whole number, got 0\.5$"):
+        EnsembleConfig(base=base, replications=2, master_seed=0.5)
+    # whole floats and numpy integers run, stored as ints
+    cfg = FgnConfig(hurst=0.5, length=1000.0, seed=np.int64(3))
+    assert (type(cfg.length), type(cfg.seed)) == (int, int)
+    reference = fgn_generate(FgnConfig(hurst=0.5, length=1000, seed=3))
+    assert np.array_equal(fgn_generate(cfg).values, reference.values)
+    ensemble = EnsembleConfig(base=base, replications=2.0, master_seed=np.int64(1))
+    assert (type(ensemble.replications), type(ensemble.master_seed)) == (int, int)
+
+
 # ---------------------------------------------------------------------------
 # sample covariance of generated series
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from ordinal_seasonality.fixtures import (
     NYSE_POSITION_MATRIX,
     NYSE_SHUFFLED_POSITION_MATRIX,
     _pattern_counts_array,
-    decompose_position_matrix,
     nyse_fixture_distribution,
     nyse_shuffled_distribution,
     series_from_distribution,
@@ -20,7 +19,6 @@ from ordinal_seasonality.stats import (
 )
 from ordinal_seasonality.stats import test_h2_day_rows as h2_test
 from ordinal_seasonality.stats import test_h3_position_columns as h3_test
-from oracles import position_counts_by_loop
 
 ROW_Q = (22.78967, 17.94834, 9.92989, 12.66052, 16.74908)
 ROW_STARS = ("***", "***", "**", "**", "***")
@@ -38,7 +36,7 @@ def test_bundled_histogram_is_complete():
 @pytest.mark.parametrize("digits", ["0123", "01233", "012345", "0123a"])
 def test_histogram_keys_must_be_patterns_of_the_order(digits):
     with pytest.raises(InvalidInputError, match="is not a pattern of order 5"):
-        _pattern_counts_array(5, {"01234": 3, digits: 1})
+        _pattern_counts_array({"01234": 3, digits: 1})
 
 
 def test_fixture_matches_bundled_matrix():
@@ -116,24 +114,3 @@ def test_whole_period_q_from_series():
     series = series_from_distribution(nyse_fixture_distribution())
     matrix = position_matrix(count_patterns(series, order=5))
     assert chi2_statistic(matrix[0]) == pytest.approx(22.78967, abs=1e-5)
-
-
-def test_decompose_plain_matrix():
-    rng = np.random.default_rng(4)
-    counts = rng.integers(0, 30, size=120)
-    matrix = position_counts_by_loop(counts, 5).astype(np.int64)
-    rebuilt = decompose_position_matrix(matrix)
-    assert np.array_equal(position_counts_by_loop(rebuilt, 5).astype(np.int64), matrix)
-
-
-def test_a_zero_cap_excludes_a_pattern():
-    rng = np.random.default_rng(4)
-    counts = rng.integers(0, 30, size=120)
-    matrix = position_counts_by_loop(counts, 5).astype(np.int64)
-    # the uncapped decomposition gives 12340 and 23401 (ids 34 and 65) 368 and 365 blocks
-    assert decompose_position_matrix(matrix)[[33, 64]].tolist() == [368, 365]
-    caps = np.full(120, 1_000, dtype=np.int64)
-    caps[[33, 64]] = 0
-    rebuilt = decompose_position_matrix(matrix, caps)
-    assert rebuilt[[33, 64]].tolist() == [0, 0]
-    assert np.array_equal(position_counts_by_loop(rebuilt, 5).astype(np.int64), matrix)

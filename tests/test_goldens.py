@@ -27,9 +27,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ordinal_seasonality import cli
+from ordinal_seasonality.fixtures import nyse_fixture_distribution, series_from_distribution
+from ordinal_seasonality.ingest import load_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = "tests/goldens"
@@ -141,3 +144,9 @@ def test_golden_decisions_are_the_thresholds_of_their_p_values():
                 assert outcome["stars"] == "*" * sum(rejects), (name, outcome)
                 found.add(name)
     assert sorted(found) == sorted(n for n in CASES if n.startswith(("analyze", "simulate")) and n.endswith(".json"))
+
+
+def test_nyse_input_is_the_bundled_fixture():
+    # the input behind analyze-nyse.json and hurst-dfa.json, value for value
+    loaded = load_csv(ROOT / NYSE, column="ret").values
+    assert np.array_equal(loaded, series_from_distribution(nyse_fixture_distribution()).values)

@@ -122,6 +122,17 @@ def test_window_grid_strictly_increases():
         assert np.array_equal(window_grid(n), full[full <= n // 4]), n
 
 
+def test_method_is_a_member_or_its_value():
+    x = fgn_generate(FgnConfig(hurst=0.7, length=2000, seed=4)).values
+    for method in HurstMethod:
+        by_member, by_value = estimate_hurst(x, method=method), estimate_hurst(x, method=method.value)
+        assert by_value == by_member
+        assert by_value.method is method
+    assert estimate_hurst(x, method="rs").h != estimate_hurst(x, method="dfa").h
+    with pytest.raises(InvalidInputError, match=r"^unknown Hurst method 'whittle'; choose from 'rs', 'dfa'$"):
+        estimate_hurst(x, method="whittle")
+
+
 def test_expected_rescaled_range_asymptotics():
     # for wide windows E[R/S] approaches sqrt(pi * n / 2)
     import math

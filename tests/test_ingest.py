@@ -421,6 +421,13 @@ def test_split_rejects_empty_or_non_positive_lengths(lengths):
         split_subperiods(series, lengths)
 
 
+def test_split_takes_only_whole_lengths():
+    series = ReturnSeries(values=np.arange(5, dtype=float))
+    with pytest.raises(InvalidInputError, match=r"^subperiod length must be a whole number, got 2\.5$"):
+        split_subperiods(series, [2.5, 2.5])
+    assert [len(p) for p in split_subperiods(series, [2.0, np.int64(3)])] == [2, 3]
+
+
 def test_split_identity():
     series = ReturnSeries(values=np.arange(7, dtype=float), label="x")
     (only,) = split_subperiods(series, [7])

@@ -352,3 +352,25 @@ def test_distribution_rejects_records_that_counting_cannot_make():
         PatternDistribution(order=3, counts=counts, dropped_points=-4)
     # every window may hold a tie
     assert PatternDistribution(order=3, counts=counts, ties_observed=6, dropped_points=2).windows == 6
+
+
+def test_counting_takes_only_a_whole_order():
+    values = np.arange(50, dtype=float)
+    with pytest.raises(InvalidInputError, match=r"^order must be a whole number, got 5\.9$"):
+        count_patterns(values, order=5.9)
+    assert count_patterns(values, order=5.0).order == 5
+    assert count_patterns(values, order=np.int64(5)).windows == 10
+    with pytest.raises(InvalidInputError, match="^order must be in 2..10, got 11$"):
+        count_patterns(values, order=11)
+
+
+def test_distribution_takes_only_a_whole_order():
+    with pytest.raises(InvalidInputError, match=r"^order must be a whole number, got 3\.7$"):
+        PatternDistribution(order=3.7, counts=np.ones(6, dtype=np.int64))
+    assert type(PatternDistribution(order=3.0, counts=np.ones(6, dtype=np.int64)).order) is int
+
+
+def test_family_share_takes_only_a_whole_order():
+    with pytest.raises(InvalidInputError, match=r"^order must be a whole number, got 4\.5$"):
+        family_share(PatternFamily.MONDAY_LARGEST, 4.5)
+    assert family_share(PatternFamily.MONDAY_LARGEST, 4.0) == 0.25
