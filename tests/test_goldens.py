@@ -85,6 +85,7 @@ CASES = {
         "shuffle", "--input", TIES, "--column", "ret", "--d", "2", "--reps", "4", "--seed", "5",
         "--format", "csv",
     ],
+    "hurst-rs.json": ["hurst", "--input", NYSE, "--column", "ret"],
     "hurst-dfa.json": ["hurst", "--input", NYSE, "--column", "ret", "--method", "dfa"],
     "patterns-d4.csv": ["patterns", "--d", "4"],
     "patterns-family.csv": ["patterns", "--d", "5", "--family", "monday-worst-friday-best"],
