@@ -15,7 +15,8 @@ def whole_number(value, name: str) -> int:
     """``value`` as an int: an int, a numpy integer or a whole float such as 4.0; anything else raises."""
     if isinstance(value, (int, np.integer)):
         return int(value)
-    number = float(value)
-    if not number.is_integer():  # nan and the infinities too
+    if not isinstance(value, (float, np.floating)):
+        raise InvalidInputError(f"{name} must be a whole number, got {value!r}")
+    if not float(value).is_integer():  # nan and the infinities too
         raise InvalidInputError(f"{name} must be a whole number, got {value}")
-    return int(number)
+    return int(value)

@@ -66,29 +66,28 @@ def expected_rescaled_range(window: int) -> float:
     return (n - 0.5) / n * math.exp(log_ratio) / math.sqrt(math.pi) * tail_sum
 
 
-def _rescaled_range(values: np.ndarray, window: int) -> float | None:
-    """Mean R/S over the non-overlapping blocks of one window size.
+def _blocks(x: np.ndarray, window: int) -> np.ndarray:
+    """The non-overlapping blocks of ``window`` points from the start of ``x``, one per row."""
+    blocks = x.size // window
+    return x[: blocks * window].reshape(blocks, window)
 
-    :func:`estimate_hurst` caps the window at a quarter of the series, so
-    there are at least four blocks.  A block with a positive std has a
-    non-constant profile, hence a positive range, so the mean is positive.
-    """
-    blocks = values.size // window
-    segs = values[: blocks * window].reshape(blocks, window)
+
+def _rescaled_range(values: np.ndarray, window: int) -> float | None:
+    """Mean R/S over the blocks of one window size, times sqrt(w) / E[R/S]; None if all are constant."""
+    segs = _blocks(values, window)
     segs = segs - segs.mean(axis=1, keepdims=True)
     profile = np.cumsum(segs, axis=1)
     ranges = profile.max(axis=1) - profile.min(axis=1)
     stds = segs.std(axis=1, ddof=1)
-    ok = stds > 0
+    ok = stds > 0  # such a block has a non-constant profile, hence a positive range
     if not ok.any():
         return None
-    return float((ranges[ok] / stds[ok]).mean())
+    return float((ranges[ok] / stds[ok]).mean()) * math.sqrt(window) / expected_rescaled_range(window)
 
 
 def _dfa_fluctuation(profile: np.ndarray, window: int) -> float | None:
-    """Root-mean-square order-1 detrended fluctuation at one window size (at least four blocks)."""
-    blocks = profile.size // window
-    segs = profile[: blocks * window].reshape(blocks, window)
+    """Root-mean-square order-1 detrended fluctuation at one window size; None when it is zero."""
+    segs = _blocks(profile, window)
     t = np.arange(window, dtype=float)
     t_center = t - t.mean()
     denom = float((t_center**2).sum())
@@ -96,9 +95,7 @@ def _dfa_fluctuation(profile: np.ndarray, window: int) -> float | None:
     slopes = (segs - seg_means) @ t_center / denom
     residuals = segs - seg_means - slopes[:, None] * t_center[None, :]
     mean_sq = (residuals**2).mean()
-    if mean_sq <= 0:
-        return None
-    return float(math.sqrt(mean_sq))
+    return float(math.sqrt(mean_sq)) if mean_sq > 0 else None
 
 
 def estimate_hurst(series, method: HurstMethod = HurstMethod.RS) -> HurstEstimate:
@@ -106,7 +103,8 @@ def estimate_hurst(series, method: HurstMethod = HurstMethod.RS) -> HurstEstimat
 
     Window sizes grow geometrically (ratio 1.5) from 16 to length/4; the
     exponent is the least-squares slope of the log statistic against log
-    window size.  ``method`` is a :class:`HurstMethod` or its value.
+    window size, over the sizes whose statistic is not None.  ``method`` is
+    a :class:`HurstMethod` or its value.
     """
     try:
         method = HurstMethod(method)
@@ -117,8 +115,11 @@ def estimate_hurst(series, method: HurstMethod = HurstMethod.RS) -> HurstEstimat
     if values.ndim != 1:
         raise InvalidInputError("series must be one-dimensional")
     n = values.size
-    if n // 4 <= MIN_WINDOW:
-        raise InvalidInputError(f"series of length {n} is too short: need length/4 > {MIN_WINDOW}")
+    grid = window_grid(n).tolist()
+    if len(grid) < MIN_FIT_POINTS:  # the grid holds a size once n // 4 reaches it
+        shortest = 4 * round(MIN_WINDOW * GRID_RATIO ** (MIN_FIT_POINTS - 1))
+        need = f"need at least {shortest} points for {MIN_FIT_POINTS} window sizes"
+        raise InvalidInputError(f"series of length {n} is too short: {need}")
     if not np.all(np.isfinite(values)):
         raise InvalidInputError("series contains non-finite values")
     if np.ptp(values) == 0:
@@ -126,39 +127,22 @@ def estimate_hurst(series, method: HurstMethod = HurstMethod.RS) -> HurstEstimat
             "constant series has no Hurst exponent: its range and fluctuation are zero"
         )
 
-    sizes = window_grid(n)
-    profile = np.cumsum(values - values.mean()) if method is HurstMethod.DFA else None
+    if method is HurstMethod.RS:
+        statistic, data = _rescaled_range, values
+    else:
+        statistic, data = _dfa_fluctuation, np.cumsum(values - values.mean())
+    kept = [(w, stat) for w in grid if (stat := statistic(data, w)) is not None]
+    if len(kept) < MIN_FIT_POINTS:
+        raise InvalidInputError(f"only {len(kept)} usable window sizes; need {MIN_FIT_POINTS}")
 
-    points = []
-    kept_sizes = []
-    for w in sizes:
-        if method is HurstMethod.RS:
-            rs = _rescaled_range(values, int(w))
-            if rs is None:
-                continue
-            stat = rs * math.sqrt(w) / expected_rescaled_range(int(w))
-        elif method is HurstMethod.DFA:
-            stat = _dfa_fluctuation(profile, int(w))
-            if stat is None:
-                continue
-        points.append((math.log(w), math.log(stat)))
-        kept_sizes.append(int(w))
-
-    if len(points) < MIN_FIT_POINTS:
-        raise InvalidInputError(f"only {len(points)} usable window sizes; need {MIN_FIT_POINTS}")
-
-    x = np.array([p[0] for p in points])
-    y = np.array([p[1] for p in points])
+    sizes = tuple(w for w, _ in kept)
+    points = tuple((math.log(w), math.log(stat)) for w, stat in kept)
+    x, y = (np.array(column) for column in zip(*points))
     slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(((y - fitted) ** 2).sum())
+    ss_res = float(((y - (slope * x + intercept)) ** 2).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
 
     return HurstEstimate(
-        h=float(slope),
-        method=method,
-        r_squared=r_squared,
-        window_sizes=tuple(kept_sizes),
-        fit_points=tuple((float(a), float(b)) for a, b in points),
+        h=float(slope), method=method, r_squared=r_squared, window_sizes=sizes, fit_points=points
     )

@@ -267,7 +267,7 @@ def test_analyze_weekend_error_names_the_date(tmp_path, capsys, days, subperiods
     ("path", "flags", "message"),
     [
         ("returns2k.csv.gz", ["--subperiods", "1900,100", "--hurst"],
-         "returns2k.csv.gz[2]: only 2 usable window sizes; need 4"),
+         "returns2k.csv.gz[2]: series of length 100 is too short: need at least 216 points for 4 window sizes"),
         ("returns2k.csv.gz", ["--subperiods", "1997,3"],
          "returns2k.csv.gz[2]: series of length 3 is shorter than order 5"),
         ("dated.csv", ["--date-column", "date", "--weeks", "calendar", "--subperiods", "252,4"],

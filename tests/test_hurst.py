@@ -96,6 +96,32 @@ def test_series_without_a_window_above_16_rejected(length):
         estimate_hurst(np.random.default_rng(0).standard_normal(length))
 
 
+@pytest.mark.parametrize("method", list(HurstMethod))
+def test_a_fit_needs_216_points(method):
+    # the fourth grid size is 54 = 16 * 1.5**3, and a size needs length // 4 >= it
+    assert (len(window_grid(215)), len(window_grid(216))) == (3, 4)
+    x = np.random.default_rng(0).standard_normal(216)
+    message = "^series of length 215 is too short: need at least 216 points for 4 window sizes$"
+    with pytest.raises(InvalidInputError, match=message):
+        estimate_hurst(x[:215], method=method)
+    assert estimate_hurst(x, method=method).window_sizes == (16, 24, 36, 54)
+
+
+def _blocks_of_16(length):
+    # every 16-point block is constant, and the profile is linear within it
+    return np.repeat(np.tile([1.0, -1.0], length // 32), 16)
+
+
+@pytest.mark.parametrize("method", list(HurstMethod))
+def test_window_sizes_without_a_statistic_are_left_out(method):
+    # R/S: every block of 16 is constant; DFA: its profile leaves no residual
+    estimate = estimate_hurst(_blocks_of_16(4096), method=method)
+    assert estimate.window_sizes == tuple(window_grid(4096)[1:].tolist())
+    assert len(estimate.fit_points) == 10
+    with pytest.raises(InvalidInputError, match="^only 3 usable window sizes; need 4$"):
+        estimate_hurst(_blocks_of_16(256), method=method)
+
+
 def test_estimate_structure():
     estimate = estimate_hurst(_fgn(0.5, seed=3))
     assert len(estimate.fit_points) == len(estimate.window_sizes) >= 8

@@ -122,6 +122,28 @@ def test_package_defines_one_exception_class():
     assert defined == {"ordinal_seasonality.errors.InvalidInputError"}
 
 
+WHOLE_NUMBER_CALLS = {
+    "length": lambda value: ordinal_seasonality.FgnConfig(hurst=0.5, length=value),
+    "order": lambda value: ordinal_seasonality.count_patterns(np.arange(50.0), order=value),
+    "subperiod length": lambda value: ordinal_seasonality.split_subperiods(
+        ordinal_seasonality.ReturnSeries(values=np.arange(5.0)), [value, 1]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WHOLE_NUMBER_CALLS)
+@pytest.mark.parametrize(
+    ("value", "shown"),
+    [("ten", "'ten'"), (None, "None"), ("1000", "'1000'"), (b"4", "b'4'"), (np.float64(2.5), "2.5")],
+    ids=["word", "none", "numeral", "bytes", "numpy-fraction"],
+)
+def test_whole_number_arguments_take_only_numbers(name, value, shown):
+    # a string or None is not converted: it fails with the package's error, naming the argument
+    message = f"{name} must be a whole number, got {shown}"
+    with pytest.raises(ordinal_seasonality.InvalidInputError, match=f"^{re.escape(message)}$"):
+        WHOLE_NUMBER_CALLS[name](value)
+
+
 def _signature(obj) -> tuple[str, ...] | None:
     if dataclasses.is_dataclass(obj):
         return tuple(field.name for field in dataclasses.fields(obj))
