@@ -155,45 +155,39 @@ def _join(fragments) -> str:
     return "".join(map("".join, batches))
 
 
-def _table_blocks(table, plain: dict):
-    """Column texts of a 1-D structured array, ``_CHUNK_FRAGMENTS`` rows at a time.
+def _table_text(table, plain: dict, heads, tail: str):
+    """Yield the rows of a 1-D structured array as text, ``_CHUNK_FRAGMENTS`` rows per fragment.
 
-    Returns an iterator of ``(start, texts)``, where ``texts`` holds one
-    iterator of value texts per field, in field order, written by the
-    ``plain`` writer of the field's type.  Any other array raises
-    :class:`TypeError` at once: a plain array, one of no fields or of more
-    than one dimension, or a field that is not a signed int or a str.
+    A row is each field's head and ``plain`` value text, in field order,
+    then ``tail``.  A head is a fixed string or a function of the row
+    index.  Any other array raises :class:`TypeError`, one of no rows too:
+    a plain array, one of no fields or of more than one dimension, or a
+    field that is not a signed int or a str.
     """
     names = table.dtype.names or ()
     kinds = [_FIELD_TYPES.get(table.dtype[name].kind) for name in names]
     if table.ndim != 1 or not names or None in kinds:
         raise TypeError(f"cannot serialize {type(table)!r}")
-    columns = [(table[name], plain[kind]) for name, kind in zip(names, kinds)]
-    return (
-        (start, [map(write, column[start : start + _CHUNK_FRAGMENTS].tolist()) for column, write in columns])
-        for start in range(0, len(table), _CHUNK_FRAGMENTS)
-    )
+    columns = [(head, table[name], plain[kind]) for head, name, kind in zip(heads, names, kinds)]
+    for start in range(0, len(table), _CHUNK_FRAGMENTS):
+        parts = []
+        for head, column, write in columns:
+            texts = map(write, column[start : start + _CHUNK_FRAGMENTS].tolist())
+            parts += (repeat(head) if isinstance(head, str) else map(head, count(start)), texts)
+        yield "".join(chain.from_iterable(zip(*parts, repeat(tail))))
 
 
 def _emit_table(table, pad: str):
-    """Yield the JSON of a 1-D structured array: a list of one object per row, each on one line.
-
-    Each block of rows is one fragment, a join over the field heads (each
-    key's encoded ``"key": ``) interleaved with the column texts.
-    """
-    blocks = _table_blocks(table, _JSON_PLAIN)
-    if not len(table):
+    """Yield the JSON of a 1-D structured array: a list of one object per row, each on one line."""
+    # a row opens with its separator, indent and brace before its first key
+    heads = [(", " if i else f",\n{pad}  {{") + _encode_string(name) + ": "
+             for i, name in enumerate(table.dtype.names or ())]
+    blocks = _table_text(table, _JSON_PLAIN, heads, "}")
+    first = next(blocks, None)  # checks the table, one of no rows too
+    if first is None:
         yield "[]"
-        return
-    heads = [f", {_encode_string(name)}: " for name in table.dtype.names]
-    heads[0] = f",\n{pad}  {{{heads[0][2:]}"  # a row opens with its separator, indent, brace and first key
-    close = repeat("}")
-    yield "["
-    for start, texts in blocks:
-        parts = [text for head, column in zip(heads, texts) for text in (repeat(head), column)]
-        block = "".join(chain.from_iterable(zip(*parts, close)))
-        yield block if start else block[1:]  # the first row has no separator
-    yield f"\n{pad}]"
+    else:  # the first row has no separator
+        yield from chain(("[" + first[1:],), blocks, (f"\n{pad}]",))
 
 
 def _emit(obj, pad: str):
@@ -251,20 +245,15 @@ def dumps(obj) -> str:
 
 
 def _flatten_table(table, path: str):
-    """Yield the ``path[i].field,value`` lines of a 1-D structured array, a block of rows per fragment.
+    """The ``path[i].field,value`` lines of a 1-D structured array, a block of rows per fragment.
 
-    Each field's keys come from one ``%`` template of the row index, its
-    quoting decided once.
+    Each field's key comes from one ``%`` template of the row index, its
+    quoting decided once; every field is a line of its own.
     """
-    blocks = _table_blocks(table, _CSV_PLAIN)
     prefix = path.replace("%", "%%")
-    keys = [_csv_field(f"{prefix}[%d].{name.replace('%', '%%')}") + "," for name in table.dtype.names]
-    newline = repeat("\n")
-    for start, texts in blocks:
-        parts = []
-        for key, text in zip(keys, texts):
-            parts += (map(key.__mod__, count(start)), text, newline)
-        yield "".join(chain.from_iterable(zip(*parts)))
+    keys = (_csv_field(f"{prefix}[%d].{name.replace('%', '%%')}") for name in table.dtype.names or ())
+    heads = [(("\n" if i else "") + key + ",").__mod__ for i, key in enumerate(keys)]
+    return _table_text(table, _CSV_PLAIN, heads, "\n")
 
 
 def _flatten(obj, path: str):
@@ -526,8 +515,6 @@ def _rate_dict(rejections, reps: int) -> dict:
 def cmd_shuffle(args) -> int:
     series = _load_series(args)
     order = args.d
-    if len(series) < order:
-        raise InvalidInputError("series shorter than one window")
 
     replicate = partial(shuffle_replication, series.values, order, args.seed)
     p_values = np.stack(run_replications(replicate, range(args.reps), args.jobs))
@@ -596,9 +583,7 @@ def cmd_patterns(args) -> int:
         doc = {"command": "patterns", "order": args.d, "family": args.family, "patterns": listing}
         _write_output(dumps(doc), args.output)
     else:
-        blocks = _table_blocks(listing, _CSV_PLAIN)
-        rows = (zip(numbers, repeat(","), strings, repeat("\n")) for _, (numbers, strings) in blocks)
-        _write_output(_join("".join(chain.from_iterable(block)) for block in rows), args.output)
+        _write_output(_join(_table_text(listing, _CSV_PLAIN, ("", ","), "\n")), args.output)
     return 0
 
 

@@ -71,7 +71,8 @@ log = logging.getLogger(__name__)
 class FgnConfig:
     """One unit-variance fractional-Gaussian-noise sample: Hurst exponent, length, seed.
 
-    ``length`` and ``seed`` must be whole numbers, and are stored as ints.
+    ``hurst`` must be a real number, and is stored as a float; ``length``
+    and ``seed`` must be whole numbers, and are stored as ints.
     """
 
     hurst: float
@@ -79,6 +80,9 @@ class FgnConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.hurst, (int, float, np.integer, np.floating)):
+            raise InvalidInputError(f"hurst must be a real number, got {self.hurst!r}")
+        object.__setattr__(self, "hurst", float(self.hurst))
         if not 0.0 < self.hurst < 1.0:
             raise InvalidInputError(f"hurst must lie in (0, 1), got {self.hurst}")
         object.__setattr__(self, "length", whole_number(self.length, "length"))

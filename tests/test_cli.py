@@ -441,6 +441,15 @@ def test_shuffle_requires_seed(returns_csv):
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_shuffle_of_a_too_short_series_names_its_length_and_order(tmp_path, jobs):
+    # under --jobs 2 the error is raised in a pool worker
+    path = tmp_path / "short.csv"
+    path.write_text("ret\n0.01\n-0.02\n0.03\n", encoding="utf-8")
+    out = run_cli("shuffle", "--input", str(path), "--column", "ret", "--reps", "4", "--seed", "1", "--jobs", jobs)
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", "error: series of length 3 is shorter than order 5\n")
+
+
 @pytest.mark.parametrize(
     ("flags", "message"),
     [
@@ -712,9 +721,10 @@ _UNSUPPORTED = pytest.mark.parametrize(
         np.array([(1, "a")], dtype=[("id", int), ("x", object)]),
         np.array([(1, True)], dtype=[("id", int), ("flag", "?")]),
         np.array([(1, 0.5)], dtype=[("id", int), ("x", "f8")]),
+        np.array([], dtype=[("x", "f8")]),  # no row to write, yet a field no table may hold
     ],
     ids=["set", "tuple", "np-bool", "np-int64", "np-float64", "object", "plain-array", "object-table",
-         "bool-table", "float-table"],
+         "bool-table", "float-table", "empty-float-table"],
 )
 _WHERE = pytest.mark.parametrize("where", ["top", "dict", "list"])
 
@@ -746,12 +756,14 @@ def _pattern_rows(form: str):
 def test_tables_of_several_blocks_write_as_their_rows():
     table = _pattern_rows("table")[: 2 * cli._CHUNK_FRAGMENTS + 5]
     rows = _pattern_rows("dicts")[: len(table)]
-    # a string holding a quote, a backslash and non-ASCII text beside int fields of two widths at their extremes
-    fields = [("name", "U8"), ("n", "i8"), ("small", "i1")]
+    # a string holding a quote, a backslash and non-ASCII text beside int fields of two widths at their
+    # extremes, under a field name holding "%", a comma, a quote and non-ASCII text
+    name = 'na%d,"mé"'
+    fields = [(name, "U8"), ("n", "i8"), ("small", "i1")]
     kinds = np.array([('a"b\\é', -(2**63), -128), ("plain", 2**63 - 1, 127)], dtype=fields)
     kind_rows = [
-        {"name": 'a"b\\é', "n": -(2**63), "small": -128},
-        {"name": "plain", "n": 2**63 - 1, "small": 127},
+        {name: 'a"b\\é', "n": -(2**63), "small": -128},
+        {name: "plain", "n": 2**63 - 1, "small": 127},
     ]
     # a key holding "%", a comma and quotes puts them in every CSV path below it
     doc = {"sections": [{"counts %d, \"all\"": table, "empty": table[:0], "after": 1}], "tail": table[-3:]}

@@ -1,6 +1,7 @@
 import logging
 import math
 import os
+import re
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -138,6 +139,31 @@ def test_configs_take_only_whole_numbers():
     assert np.array_equal(fgn_generate(cfg).values, reference.values)
     ensemble = EnsembleConfig(base=base, replications=2.0, master_seed=np.int64(1))
     assert (type(ensemble.replications), type(ensemble.master_seed)) == (int, int)
+
+
+@pytest.mark.parametrize(
+    ("hurst", "message"),
+    [
+        ("0.5", "hurst must be a real number, got '0.5'"),
+        (None, "hurst must be a real number, got None"),
+        ([0.5], "hurst must be a real number, got [0.5]"),
+        (np.int64(1), "hurst must lie in (0, 1), got 1.0"),
+        (math.nan, "hurst must lie in (0, 1), got nan"),
+    ],
+    ids=["str", "none", "list", "np-int64", "nan"],
+)
+def test_config_takes_only_a_real_hurst(hurst, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        FgnConfig(hurst=hurst, length=100)
+
+
+@pytest.mark.parametrize("hurst", [0.7, np.float64(0.7), np.float32(0.25)], ids=["float", "np-float64", "np-float32"])
+def test_config_stores_hurst_as_a_float(hurst):
+    cfg = FgnConfig(hurst=hurst, length=100)
+    assert type(cfg.hurst) is float and cfg.hurst == float(hurst)
+    # the ensemble's report carries it on, as a float a report can hold
+    report = run_ensemble(EnsembleConfig(base=cfg, replications=1, master_seed=1))
+    assert type(report.hurst) is float
 
 
 # ---------------------------------------------------------------------------
