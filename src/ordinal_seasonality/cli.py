@@ -44,6 +44,7 @@ from .ingest import (
     split_subperiods,
 )
 from .patterns import (
+    MAX_ORDER,
     PatternDistribution,
     PatternFamily,
     count_patterns,
@@ -660,11 +661,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detect day-of-the-week seasonality in return series via ordinal patterns.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    order_help = f"pattern order (window length), 2..{MAX_ORDER}"
 
     analyze = commands.add_parser("analyze", help="full seasonality report for a return series")
     _add_input_flags(analyze)
     analyze.add_argument("--weeks", choices=("block", "calendar"), default="block")
-    analyze.add_argument("--d", type=int, default=5, help="pattern order (window length)")
+    analyze.add_argument("--d", type=int, default=5, help=order_help)
     analyze.add_argument("--subperiods", type=_subperiod_list, default=None)
     analyze.add_argument(
         "--hurst", nargs="?", const="rs", choices=tuple(m.value for m in HurstMethod),
@@ -684,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     shuffle = commands.add_parser("shuffle", help="seasonality tests on shuffled surrogates")
     _add_input_flags(shuffle)
-    shuffle.add_argument("--d", type=int, default=5)
+    shuffle.add_argument("--d", type=int, default=5, help=order_help)
     shuffle.add_argument("--reps", type=int, required=True)
     shuffle.add_argument("--seed", type=_seed, required=True)
     shuffle.add_argument("--jobs", type=int, default=1)
@@ -692,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     shuffle.set_defaults(func=cmd_shuffle)
 
     patterns_cmd = commands.add_parser("patterns", help="dump the pattern id table")
-    patterns_cmd.add_argument("--d", type=int, default=5)
+    patterns_cmd.add_argument("--d", type=int, default=5, help=order_help)
     patterns_cmd.add_argument(
         "--family",
         choices=tuple(f.value for f in PatternFamily),

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidInputError, whole_number
 
-MAX_ORDER = 10
+MAX_ORDER = 8
 
 
 def _validate_order(order: int) -> int:
@@ -65,7 +65,7 @@ def pattern_strings(order: int) -> np.ndarray:
     strings are sorted.
     """
     table = pattern_table(order)
-    # one ASCII digit per cell (D <= 10), each row viewed as one byte string
+    # one ASCII digit per cell (D <= 8), each row viewed as one byte string
     chars = (table + ord("0")).astype(np.uint8)
     return chars.view(f"S{table.shape[1]}").ravel().astype(str)
 
@@ -132,17 +132,10 @@ def pattern_family(kind: PatternFamily, order: int) -> frozenset[int]:
 def family_share(kind: PatternFamily, order: int) -> float:
     """The family's share of all D! patterns: its frequency when every pattern is equally likely.
 
-    (D-1)!/D! = 1/D for ``MONDAY_LARGEST`` and (D-2)!/D! = 1/(D(D-1)) for
-    ``MONDAY_WORST_FRIDAY_BEST``.  Either is one correctly rounded
-    division, so it equals ``len(pattern_family(kind, order)) / D!`` bit
-    for bit, without building the family.
+    The family's size over D!, (D-1)!/D! = 1/D for ``MONDAY_LARGEST`` and
+    (D-2)!/D! = 1/(D(D-1)) for ``MONDAY_WORST_FRIDAY_BEST``.
     """
-    order = _validate_order(order)
-    if kind is PatternFamily.MONDAY_LARGEST:
-        return 1.0 / order
-    if kind is PatternFamily.MONDAY_WORST_FRIDAY_BEST:
-        return 1.0 / (order * (order - 1))
-    raise InvalidInputError(f"unknown family {kind!r}")
+    return family_index(kind, order).size / len(pattern_table(order))
 
 
 @dataclass

@@ -104,14 +104,9 @@ def _lexicographic_ids(order: int) -> dict[tuple[int, ...], int]:
 def lexicographic_rank(digits, order: int) -> int:
     """1-based rank of a permutation by exhaustive enumeration.
 
-    Up to order 8 all permutations are sorted once per order and looked
-    up.  Above that a table would take hundreds of MB, so each call counts
-    afresh the order! permutations and those that sort before ``digits``.
+    All permutations of the order are sorted once and looked up.
     """
-    digits = tuple(digits)
-    if order <= 8:
-        return _lexicographic_ids(order)[digits]
-    return 1 + sum(perm < digits for perm in permutations(range(order)))
+    return _lexicographic_ids(order)[tuple(digits)]
 
 
 def family_ids_by_enumeration(order: int, predicate) -> set[int]:

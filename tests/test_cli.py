@@ -281,6 +281,20 @@ def test_analyze_section_errors_name_the_section(capsys, path, flags, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("order", ["9", "10"])
+@pytest.mark.parametrize("command", ["analyze", "shuffle", "patterns"])
+def test_orders_above_8_exit_2_with_one_error_line(command, order, returns_csv, capsys):
+    argv, label = [command, "--d", order], ""
+    if command != "patterns":
+        argv += ["--input", str(returns_csv), "--column", "ret"]
+    if command == "shuffle":
+        argv += ["--reps", "4", "--seed", "1"]
+    if command == "analyze":  # the whole-period section is named after its file
+        label = f"{returns_csv.name}: "
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {label}order must be in 2..8, got {order}\n")
+
+
 def test_analyze_order_error_names_the_row(tmp_path, capsys):
     path = _price_file(tmp_path, ["2020-01-06", "2020-01-08", "2020-01-07", "2020-01-09"])
     argv = ["analyze", "--input", str(path), "--price-column", "close", "--date-column", "date"]

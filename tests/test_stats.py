@@ -293,14 +293,13 @@ def test_binomial_rejects_bad_expected_frequency_and_weeks(p_e, weeks):
         binomial_test(p_e, 5, weeks)
 
 
-@pytest.mark.parametrize("order", range(2, 11))
+@pytest.mark.parametrize("order", range(2, 9))
 def test_family_share_is_the_closed_form(order):
     # the H4/H5 p_e leaves of every report rest on these exact doubles
     assert family_share(PatternFamily.MONDAY_LARGEST, order) == 1.0 / order
     assert family_share(PatternFamily.MONDAY_WORST_FRIDAY_BEST, order) == 1.0 / (order * (order - 1))
-    if order <= 7:
-        for kind in PatternFamily:
-            assert family_share(kind, order) == len(pattern_family(kind, order)) / math.factorial(order)
+    for kind in PatternFamily:
+        assert family_share(kind, order) == len(pattern_family(kind, order)) / math.factorial(order)
 
 
 @pytest.mark.parametrize("order", [1, 11])
