@@ -334,8 +334,6 @@ def _record(obj):
 
 
 def _load_series(args) -> ReturnSeries:
-    if (args.column is None) == (args.price_column is None):
-        raise InvalidInputError("exactly one of --column and --price-column is required")
     column = args.column if args.price_column is None else args.price_column
     series = load_csv(args.input, column=column, date_column=args.date_column)
     if args.price_column is not None:
@@ -443,7 +441,7 @@ def _log_section_decisions(label: str, dist: PatternDistribution, chi_outcomes) 
         )
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> str:
     if args.weeks == "calendar" and args.d != 5:
         raise InvalidInputError("calendar week partitioning is defined for --d 5")
     series = _load_series(args)
@@ -463,8 +461,7 @@ def cmd_analyze(args) -> int:
         "weeks_mode": args.weeks,
         "sections": sections,
     }
-    _write_output(dumps(doc) if args.format == "json" else to_flat_csv(doc), args.output)
-    return 0
+    return dumps(doc) if args.format == "json" else to_flat_csv(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -472,20 +469,22 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
-    rows = []
-    for hurst in args.hurst:
-        cfg = EnsembleConfig(
-            base=FgnConfig(hurst=hurst, length=args.length),
-            replications=args.reps,
-            master_seed=args.seed,
+def cmd_simulate(args) -> str:
+    # every config is checked before the first replication runs
+    configs = [
+        EnsembleConfig(
+            base=FgnConfig(hurst=hurst, length=args.length), replications=args.reps, master_seed=args.seed
         )
+        for hurst in args.hurst
+    ]
+    rows = []
+    for cfg in configs:
         report = run_ensemble(cfg, jobs=args.jobs)
         mean_frequency = report.weeks / math.factorial(len(report.h2))
         if mean_frequency < EXPECTED_FREQUENCY_FLOOR:
             log.info(
                 "H=%g: mean expected pattern frequency %.2f is below %g",
-                hurst,
+                report.hurst,
                 mean_frequency,
                 EXPECTED_FREQUENCY_FLOOR,
             )
@@ -499,8 +498,7 @@ def cmd_simulate(args) -> int:
         },
         "rows": rows,
     }
-    _write_output(dumps(doc) if args.format == "json" else to_flat_csv(doc), args.output)
-    return 0
+    return dumps(doc) if args.format == "json" else to_flat_csv(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +511,7 @@ def _rate_dict(rejections, reps: int) -> dict:
     return {"rejections": _record(rejections), "rate_at_alpha": rejections.at_05 / reps}
 
 
-def cmd_shuffle(args) -> int:
+def cmd_shuffle(args) -> str:
     series = _load_series(args)
     order = args.d
 
@@ -550,8 +548,7 @@ def cmd_shuffle(args) -> int:
         },
         "per_replication": per_replication,
     }
-    _write_output(dumps(doc) if args.format == "json" else to_flat_csv(doc), args.output)
-    return 0
+    return dumps(doc) if args.format == "json" else to_flat_csv(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -575,17 +572,14 @@ def _pattern_listing(order: int, counts: np.ndarray | None = None) -> np.ndarray
     return listing
 
 
-def cmd_patterns(args) -> int:
+def cmd_patterns(args) -> str:
     listing = _pattern_listing(args.d)
     if args.family:
         ids = pattern_family(PatternFamily(args.family), args.d)
         listing = listing[np.isin(listing["id"], list(ids))]
     if args.format == "json":
-        doc = {"command": "patterns", "order": args.d, "family": args.family, "patterns": listing}
-        _write_output(dumps(doc), args.output)
-    else:
-        _write_output(_join(_table_text(listing, _CSV_PLAIN, ("", ","), "\n")), args.output)
-    return 0
+        return dumps({"command": "patterns", "order": args.d, "family": args.family, "patterns": listing})
+    return _join(_table_text(listing, _CSV_PLAIN, ("", ","), "\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +587,7 @@ def cmd_patterns(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_hurst(args) -> int:
+def cmd_hurst(args) -> str:
     series = _load_series(args)
     estimate = estimate_hurst(series, method=args.method)
     doc = {
@@ -601,8 +595,7 @@ def cmd_hurst(args) -> int:
         "input": _input_meta(args, series),
         "estimate": _record(estimate),
     }
-    _write_output(dumps(doc) if args.format == "json" else to_flat_csv(doc), args.output)
-    return 0
+    return dumps(doc) if args.format == "json" else to_flat_csv(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -610,43 +603,19 @@ def cmd_hurst(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _hurst_list(text: str) -> list[float]:
-    values = []
-    for token in text.split(","):
-        try:
-            h = float(token)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {token!r}") from None
-        if not 0.0 < h < 1.0:
-            raise argparse.ArgumentTypeError(f"hurst exponent {h} outside (0, 1)")
-        values.append(h)
-    return values
-
-
-def _subperiod_list(text: str) -> list[int]:
-    try:
-        lengths = [int(token) for token in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from None
-    if any(n < 1 for n in lengths):
-        raise argparse.ArgumentTypeError("subperiod lengths must be positive")
-    return lengths
-
-
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
-    return value
+def _comma_list(kind):
+    """An argparse type: comma-separated values, each read by ``kind``; the library checks their range."""
+    def parse(text: str) -> list:
+        return [kind(token) for token in text.split(",")]
+    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse names the type in its error
+    return parse
 
 
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", required=True, help="CSV file (.gz accepted)")
-    sub.add_argument("--column", help="name of the return column")
-    sub.add_argument("--price-column", help="name of the price column (log returns are derived)")
+    value = sub.add_mutually_exclusive_group(required=True)
+    value.add_argument("--column", help="name of the return column")
+    value.add_argument("--price-column", help="name of the price column (log returns are derived)")
     sub.add_argument("--date-column", help="name of the date column (ISO dates)")
 
 
@@ -667,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(analyze)
     analyze.add_argument("--weeks", choices=("block", "calendar"), default="block")
     analyze.add_argument("--d", type=int, default=5, help=order_help)
-    analyze.add_argument("--subperiods", type=_subperiod_list, default=None)
+    analyze.add_argument("--subperiods", type=_comma_list(int), default=None)
     analyze.add_argument(
         "--hurst", nargs="?", const="rs", choices=tuple(m.value for m in HurstMethod),
         help="include a Hurst estimate per section by this method (rs when none is named)",
@@ -676,10 +645,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.set_defaults(func=cmd_analyze)
 
     simulate = commands.add_parser("simulate", help="Monte-Carlo experiment on fractional noise")
-    simulate.add_argument("--hurst", type=_hurst_list, required=True, help="comma-separated H values")
+    simulate.add_argument("--hurst", type=_comma_list(float), required=True, help="comma-separated H values")
     simulate.add_argument("--length", type=int, required=True)
     simulate.add_argument("--reps", type=int, required=True)
-    simulate.add_argument("--seed", type=_seed, required=True)
+    simulate.add_argument("--seed", type=int, required=True)
     simulate.add_argument("--jobs", type=int, default=1)
     _add_output_flags(simulate)
     simulate.set_defaults(func=cmd_simulate)
@@ -688,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(shuffle)
     shuffle.add_argument("--d", type=int, default=5, help=order_help)
     shuffle.add_argument("--reps", type=int, required=True)
-    shuffle.add_argument("--seed", type=_seed, required=True)
+    shuffle.add_argument("--seed", type=int, required=True)
     shuffle.add_argument("--jobs", type=int, default=1)
     _add_output_flags(shuffle)
     shuffle.set_defaults(func=cmd_shuffle)
@@ -722,13 +691,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # usage errors exit 2, --help exits 0
         return exc.code
     try:
-        return args.func(args)
+        _write_output(args.func(args), args.output)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
         traceback.print_exc()
         return 1
+    return 0
 
 
 def entrypoint() -> None:

@@ -67,6 +67,14 @@ from .stats import (
 log = logging.getLogger(__name__)
 
 
+def _seed(value) -> int:
+    """``value`` as a seed: a whole number >= 0, as an int; anything else raises."""
+    seed = whole_number(value, "seed")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class FgnConfig:
     """One unit-variance fractional-Gaussian-noise sample: Hurst exponent, length, seed.
@@ -89,9 +97,7 @@ class FgnConfig:
         if self.length < 2:
             raise InvalidInputError("length must be >= 2")
         if self.seed is not None:
-            object.__setattr__(self, "seed", whole_number(self.seed, "seed"))
-            if self.seed < 0:
-                raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
+            object.__setattr__(self, "seed", _seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -111,9 +117,7 @@ class EnsembleConfig:
         if self.base.seed is not None:
             raise InvalidInputError("the base config of an ensemble takes no seed; set master_seed")
         object.__setattr__(self, "replications", whole_number(self.replications, "replications"))
-        object.__setattr__(self, "master_seed", whole_number(self.master_seed, "seed"))
-        if self.master_seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.master_seed}")
+        object.__setattr__(self, "master_seed", _seed(self.master_seed))
 
 
 def fgn_autocovariance(hurst: float, lags) -> np.ndarray:
@@ -189,8 +193,8 @@ def fgn_generate(cfg: FgnConfig) -> ReturnSeries:
 
 
 def replication_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent per-replication stream via a splittable seed construction."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)))
+    """Independent per-replication stream via a splittable seed construction; the seed is whole and >= 0."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=_seed(master_seed), spawn_key=(index,)))
 
 
 def by_test(items) -> tuple:
@@ -290,6 +294,7 @@ def run_replications(replicate: Callable, units: Sequence, jobs: int) -> list:
     """
     if len(units) < 1:
         raise InvalidInputError("replications must be >= 1")
+    jobs = whole_number(jobs, "jobs")
     if jobs < 1:
         raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(units) == 1:
@@ -393,6 +398,7 @@ def run_ensemble(cfg: EnsembleConfig, jobs: int = 1) -> SimulationReport:
         raise InvalidInputError("length too short for a single week window")
 
     # one contiguous share of whole blocks per worker the pool would start
+    jobs = whole_number(jobs, "jobs")
     size = _block_draws(base.length)
     blocks = math.ceil(reps / size)
     workers = max(1, min(jobs, blocks, _available_cpus()))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -95,7 +95,18 @@ class PatternFamily(Enum):
     MONDAY_WORST_FRIDAY_BEST = "monday-worst-friday-best"
 
 
-@lru_cache(maxsize=None)
+def _family_cache(build):
+    """Cache ``build`` per (kind, order); a kind that is no PatternFamily raises before the cache is read."""
+    cached = lru_cache(maxsize=None)(build)
+    @wraps(build)
+    def checked(kind: PatternFamily, order: int):
+        if not isinstance(kind, PatternFamily):
+            raise InvalidInputError(f"unknown family {kind!r}")
+        return cached(kind, order)
+    return checked
+
+
+@_family_cache
 def family_index(kind: PatternFamily, order: int) -> np.ndarray:
     """Rows of the family's patterns in :func:`pattern_table`: a read-only, sorted int array.
 
@@ -111,16 +122,14 @@ def family_index(kind: PatternFamily, order: int) -> np.ndarray:
     table = pattern_table(order)
     if kind is PatternFamily.MONDAY_LARGEST:
         members = table[:, -1] == 0
-    elif kind is PatternFamily.MONDAY_WORST_FRIDAY_BEST:
+    else:
         members = (table[:, 0] == 0) & (table[:, -1] == order - 1)
-    else:  # a kind that is not a PatternFamily
-        raise InvalidInputError(f"unknown family {kind!r}")
     rows = np.flatnonzero(members)
     rows.flags.writeable = False
     return rows
 
 
-@lru_cache(maxsize=None)
+@_family_cache
 def pattern_family(kind: PatternFamily, order: int) -> frozenset[int]:
     """Pattern ids in the family, for windows starting on Monday (day 0).
 

@@ -308,9 +308,17 @@ def test_analyze_missing_file_exits_2(tmp_path):
     assert "error" in out.stderr.lower()
 
 
-def test_analyze_needs_exactly_one_value_column(returns_csv):
-    out = run_cli("analyze", "--input", str(returns_csv))
-    assert out.returncode == 2
+def test_analyze_needs_exactly_one_value_column(returns_csv, capsys):
+    # the pair is one required argparse group, so either slip is a usage error
+    for flags, complaint in [
+        ([], "one of the arguments --column --price-column is required"),
+        (["--column", "ret", "--price-column", "ret"], "argument --price-column: not allowed with argument --column"),
+    ]:
+        assert cli.main(["analyze", "--input", str(returns_csv), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ordinal-seasonality analyze ")
+        assert captured.err.endswith(f"\nordinal-seasonality analyze: error: {complaint}\n")
 
 
 def test_an_empty_column_name_that_the_header_lacks_exits_2(tmp_path, capsys):
@@ -471,17 +479,39 @@ def test_shuffle_of_a_too_short_series_names_its_length_and_order(tmp_path, jobs
         (["--reps", "4", "--jobs", "0"], "jobs must be >= 1"),
         (["--reps", "4", "--jobs", "-3"], "jobs must be >= 1"),
         (["--reps", "4", "--seed", "-1"], "seed must be >= 0"),
+        (["--reps", "4", "--seed", "-1", "--jobs", "2"], "seed must be >= 0"),
     ],
 )
 @pytest.mark.parametrize("command", ["simulate", "shuffle"])
 def test_replication_engine_rejects_bad_counts(command, flags, message, returns_csv, capsys):
+    # the library's check, one error line: under shuffle --jobs 2 the seed is refused in the pool's workers
     if command == "simulate":
         argv = ["simulate", "--hurst", "0.5", "--length", "1000", "--seed", "1", *flags]
     else:
         argv = ["shuffle", "--input", str(returns_csv), "--column", "ret", "--seed", "1", *flags]
     assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: {re.escape(message)}(, got -?\d+)?\n", captured.err)
+
+
+# the command line only parses; the library checks each value, and says what is wrong in one line
+@pytest.mark.parametrize(
+    ("argv", "line"),
+    [
+        (["simulate", "--hurst", "0.3,1.5", "--length", "100", "--reps", "2", "--seed", "1"],
+         "hurst must lie in (0, 1), got 1.5"),
+        (["analyze", "--input", str(GOLDENS / "returns2k.csv.gz"), "--column", "ret", "--subperiods", "0,2000"],
+         "subperiod lengths must be positive"),
+    ],
+    ids=["hurst", "subperiods"],
+)
+def test_library_value_rules_exit_2_with_their_own_line(argv, line, monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(cli, "run_ensemble", lambda *args, **kwargs: runs.append(args))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+    assert runs == []  # simulate checks every H before its first ensemble runs
 
 
 # a simulate week is 5 returns: below that no window fits

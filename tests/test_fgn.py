@@ -424,6 +424,39 @@ def test_ensemble_draws_one_share_of_whole_blocks_per_worker(pools, monkeypatch)
     assert len(pools) == 2 and calls[-1] == range(0, 13)  # one CPU: one share, run in this process
 
 
+def test_jobs_follow_the_whole_number_rule(pools):
+    # a whole float runs as its int; no other value reaches the pool planning
+    assert run_replications(str, range(3), 2.0) == ["0", "1", "2"]
+    assert [pool.max_workers for pool in pools] == [2]
+    cfg = _small_ensemble(0.7, reps=13, length=10_000, seed=31)
+    assert run_ensemble(cfg, jobs=2.0) == run_ensemble(cfg, jobs=1)
+    for jobs, shown in [(1.5, "1.5"), ("2", "'2'")]:
+        message = f"^jobs must be a whole number, got {re.escape(shown)}$"
+        with pytest.raises(InvalidInputError, match=message):
+            run_replications(str, range(3), jobs)
+        with pytest.raises(InvalidInputError, match=message):
+            run_ensemble(_small_ensemble(0.7, reps=2), jobs=jobs)  # one share
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: replication_rng(-1, 0), "seed must be >= 0, got -1"),
+        (lambda: replication_rng(1.5, 0), "seed must be a whole number, got 1.5"),
+        (lambda: shuffle_replication(np.arange(20.0), 5, -1, 0), "seed must be >= 0, got -1"),
+    ],
+    ids=["negative", "fraction", "shuffle"],
+)
+def test_replication_seeds_follow_the_whole_number_rule(call, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_replication_rng_reads_a_whole_float_seed_as_its_int():
+    draws = [replication_rng(seed, 3).random() for seed in (2, 2.0, np.int64(2))]
+    assert draws[0] == draws[1] == draws[2]
+
+
 def test_ensemble_rejection_rate_minimal_at_half():
     rates = {}
     for hurst in (0.2, 0.5, 0.8):

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import permutations
 
 import numpy as np
@@ -341,11 +342,13 @@ def test_families_at_order_two_are_the_complements():
     assert pattern_family(PatternFamily.MONDAY_WORST_FRIDAY_BEST, 2) == {1}  # 01
 
 
-def test_family_rejects_a_kind_that_is_not_a_family():
-    # a plain string is no PatternFamily, even when it spells one's value
-    for lookup in (family_index, family_share):
-        with pytest.raises(InvalidInputError, match="^unknown family 'monday-largest'$"):
-            lookup("monday-largest", 5)
+# a plain string is no PatternFamily, even when it spells one's value; an unhashable
+# kind is refused before the family caches read it
+@pytest.mark.parametrize("kind", ["monday-largest", ["monday-largest"]], ids=["str", "list"])
+@pytest.mark.parametrize("lookup", [family_index, family_share, pattern_family], ids=lambda f: f.__name__)
+def test_family_rejects_a_kind_that_is_not_a_family(lookup, kind):
+    with pytest.raises(InvalidInputError, match=f"^unknown family {re.escape(repr(kind))}$"):
+        lookup(kind, 5)
 
 
 def test_distribution_rejects_records_that_counting_cannot_make():
